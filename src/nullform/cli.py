@@ -20,7 +20,8 @@ import sys
 from .dataio import Dataset, file_digest, ingest_csv
 from .diagnostics import residual_diagnostics, residual_gaps
 from .errors import DataError, DomainError, NullformError, NumericError
-from .linmodel import DesignMatrix, NestedSpec, f_geometry, fit, nested_f_test
+# fit and f_geometry stay bound here unused: nullbench/tracing.py wraps them
+from .linmodel import DesignMatrix, FGeometry, NestedSpec, f_geometry, fit, nested_f_test
 from .montecarlo import Scenario, SimConfig, null_law_check, simulate_size_power
 from .proportion import ProportionData, proportion_test
 from .report import AnalysisReport
@@ -234,7 +235,7 @@ def _cmd_ftest(args, argv) -> AnalysisReport:
     spec = NestedSpec(design, p1=p1)
     y = Sample.from_iterable(dataset.column(args.response))
     res = nested_f_test(spec, y)
-    geo = f_geometry(spec, y)
+    geo = FGeometry.from_result(res)
     n, rp1, p2 = res.dims
     results = {
         "response": args.response, "full_columns": design.labels,
@@ -256,52 +257,32 @@ def _cmd_ftest(args, argv) -> AnalysisReport:
     )
 
 
-def _diagnostics_payload(args):
-    """Shared by outliers and plot: dataset, design, table, fitted, labels."""
+def _diagnostics_payload(args, alpha: float):
+    """Shared by outliers and plot: dataset, design, table, row labels and the
+    labels of the rows that test as outliers at level alpha."""
     dataset = _load_dataset(args)
     predictor_names = _split_list(args.predictors)
     if not predictor_names:
         predictor_names = [n for n in dataset.column_names if n != args.response]
     design = _design_from(dataset, predictor_names, not args.no_intercept)
-    y = Sample.from_iterable(dataset.column(args.response))
-    table = residual_diagnostics(design, y)
-    fitted = fit(design, y).fitted
-    labels = dataset.row_labels
-    return dataset, design, table, fitted, labels
-
-
-def _row_dict(row, labels):
-    return {
-        "index": row.index,
-        "label": labels[row.index] if labels is not None else str(row.index),
-        "leverage": row.leverage,
-        "raw_residual": row.raw_residual,
-        "standardized": row.standardized,
-        "studentized": row.studentized,
-        "outlier_p_value": row.outlier_p_value,
-        "bonferroni_p_value": row.bonferroni_p_value,
-        "gap": row.gap,
-        "flagged": row.flagged,
-    }
+    table = residual_diagnostics(design, Sample.from_iterable(dataset.column(args.response)))
+    labels = dataset.row_labels or tuple(str(i) for i in range(table.n))
+    outliers = [
+        labels[row.index] for row in table.rows
+        if not row.flagged and row.outlier_p_value <= alpha
+    ]
+    return dataset, design, table, labels, outliers
 
 
 def _cmd_outliers(args, argv) -> AnalysisReport:
     alpha = _check_alpha(args.alpha)
-    dataset, design, table, fitted, labels = _diagnostics_payload(args)
-    ranked = residual_gaps(table)
-    outliers = [
-        row.index for row in table.rows
-        if not row.flagged and row.outlier_p_value <= alpha
-    ]
+    dataset, design, table, labels, outliers = _diagnostics_payload(args, alpha)
     results = {
         "response": args.response, "design_columns": design.labels,
         "n": table.n, "p": table.p, "outlier_df": table.n - table.p - 1,
-        "outliers": [
-            labels[i] if labels is not None else str(i) for i in outliers
-        ],
+        "outliers": outliers,
         "gap_ranking": [
-            {"label": labels[i] if labels is not None else str(i), "gap": g}
-            for i, g in ranked
+            {"label": labels[i], "gap": g} for i, g in residual_gaps(table)
         ],
     }
     return AnalysisReport(
@@ -309,7 +290,8 @@ def _cmd_outliers(args, argv) -> AnalysisReport:
         results=results,
         decisions={"any_outlier": bool(outliers)},
         input_digest=file_digest(args.input),
-        diagnostics=tuple(_row_dict(row, labels) for row in table.rows),
+        # report columns are the DiagnosticsRow fields plus the row label
+        diagnostics=tuple({"label": labels[r.index], **vars(r)} for r in table.rows),
         warnings=_drop_warnings(dataset),
     )
 
@@ -348,15 +330,8 @@ def _cmd_simulate(args, argv) -> AnalysisReport:
 
 def _cmd_plot(args, argv) -> AnalysisReport:
     alpha = _check_alpha(args.alpha)
-    dataset, design, table, fitted, labels = _diagnostics_payload(args)
-    text_labels = (
-        list(labels) if labels is not None else [str(i) for i in range(table.n)]
-    )
-    emit_residual_plots(table, fitted, args.out, alpha=alpha, labels=text_labels)
-    outliers = [
-        text_labels[row.index] for row in table.rows
-        if not row.flagged and row.outlier_p_value <= alpha
-    ]
+    dataset, design, table, labels, outliers = _diagnostics_payload(args, alpha)
+    emit_residual_plots(table, table.fitted, args.out, alpha=alpha, labels=labels)
     return AnalysisReport(
         test="plot", command=("nullform", *argv), alpha=alpha,
         results={

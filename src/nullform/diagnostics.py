@@ -10,9 +10,16 @@ observations by either residual type (or either F form) yields identical
 decisions; what changes is only the numerical scale, and the gap |t_i - r_i|
 widens monotonically as observations become more extreme.
 
-The augmented-model route is the normative implementation here.  The
-textbook leave-one-out formula t_i = e_i / sqrt(s_(i)^2 (1 - h_i)) serves as
-the independent oracle in the test suite, not as the production path.
+All n tests share one QR of X.  The indicator's part orthogonal to X has
+squared norm 1 - h_i, so SS_{2|1,i} = e_i^2 / (1 - h_i), SSE_1 = SSE and
+SSE_12,i = SSE - SS_{2|1,i} (Belsley, Kuh & Welsch 1980; Cook & Weisberg
+1982); F_null and F_trad stay two separate formulas over those sums.  Where
+SS_{2|1,i} > SSE / 2 the subtraction would cancel, so SSE_12,i is summed
+directly from the augmented residuals e_j + h_ji e_i / (1 - h_i), j != i,
+with h_ji = Q_j . Q_i, losing at most one bit.
+
+The per-row augmented nested F-test and the leave-one-out formula
+t_i = e_i / sqrt(s_(i)^2 (1 - h_i)) are independent oracles in the tests.
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linmodel import DesignMatrix, NestedSpec, _qr_with_rank_check, fit, nested_f_test
+# fit and nested_f_test stay bound here unused: nullbench/tracing.py wraps them
+from .linmodel import DesignMatrix, _qr_with_rank_check, fit, nested_f_test
 from .sample import Sample
 from .specfun import cdf, student_t
 
@@ -37,12 +45,15 @@ __all__ = [
 ]
 
 # a hat diagonal this close to 1 means the observation determines its own
-# fit; the augmented design would be numerically rank deficient
+# fit; its indicator column lies (numerically) in the column space of X
 _LEVERAGE_TOL = 1e-8
 
 # squared relative residual scale below which a fit counts as exact,
 # mirroring the saturation threshold of the nested F-test
 _SSE_NEGLIGIBLE_RTOL = 1e-24
+
+# above this share of SSE, SSE_12,i is summed directly, not subtracted
+_DIRECT_SSE12_FRAC = 0.5
 
 
 @dataclass(frozen=True)
@@ -66,6 +77,9 @@ class DiagnosticsTable:
     rows: tuple[DiagnosticsRow, ...]
     n: int
     p: int
+    # fitted values of the base model in row order; empty when a table is
+    # rebuilt from its rows alone
+    fitted: tuple[float, ...] = ()
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -93,57 +107,55 @@ def residual_diagnostics(x: DesignMatrix, y: Sample) -> DiagnosticsTable:
         raise DomainError(
             f"diagnostics need n > p + 1, got n={n} with p={p}"
         )
-    base = fit(x, y)
-    h = leverage(x)
+    if y.n != n:
+        raise DomainError(f"design has {n} rows but the response has {y.n}")
+    q, _ = _qr_with_rank_check(x)
     yvec = np.asarray(y.values, dtype=np.float64)
-    ssy = float(yvec @ yvec)
-    base_exact = base.sse <= _SSE_NEGLIGIBLE_RTOL * ssy
-    df = n - p - 1
-    dist = student_t(float(df))
+    fitted = q @ (q.T @ yvec)
+    e = yvec - fitted
+    sse = float(e @ e)
+    h = np.einsum("ij,ij->i", q, q)
+    tiny_sse = _SSE_NEGLIGIBLE_RTOL * float(yvec @ yvec)
+    flagged = h >= 1.0 - _LEVERAGE_TOL
+    # only tested rows are read below; the others may divide by zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ss2given1 = e * e / (1.0 - h)
+        # a reduction in SSE at the size of QR rounding dust is no residual
+        tested = ~flagged & (ss2given1 > tiny_sse) & (sse > tiny_sse)
+        sse12 = sse - ss2given1
+        for i in np.flatnonzero(tested & (ss2given1 > _DIRECT_SSE12_FRAC * sse)):
+            # residuals of the augmented fit: e_j + h_ji e_i / (1 - h_i) off
+            # row i, exactly 0 on it
+            aug = e + (q @ q[i]) * (e[i] / (1.0 - h[i]))
+            aug[i] = 0.0
+            sse12[i] = aug @ aug
+        f_null = ss2given1 / (sse / (n - p))
+        f_trad = ss2given1 / (sse12 / (n - p - 1))
+        r = np.copysign(np.sqrt(f_null), e)
+        t = np.copysign(np.where(sse12 <= tiny_sse, np.inf, np.sqrt(f_trad)), e)
 
+    dist = student_t(float(n - p - 1))
     rows = []
-    for i in range(n):
-        e_i = base.residuals[i]
-        if h[i] >= 1.0 - _LEVERAGE_TOL:
-            rows.append(
-                DiagnosticsRow(
-                    index=i, leverage=h[i], raw_residual=e_i,
-                    standardized=math.nan, studentized=math.nan,
-                    outlier_p_value=math.nan, bonferroni_p_value=math.nan,
-                    gap=math.nan, flagged=True,
-                )
-            )
-            continue
-        if e_i == 0.0 or base_exact:
-            rows.append(
-                DiagnosticsRow(
-                    index=i, leverage=h[i], raw_residual=e_i,
-                    standardized=0.0, studentized=0.0,
-                    outlier_p_value=1.0, bonferroni_p_value=1.0, gap=0.0,
-                )
-            )
-            continue
-        indicator = np.zeros(n)
-        indicator[i] = 1.0
-        augmented = DesignMatrix(
-            np.column_stack([x.data, indicator]),
-            x.labels + (f"is_obs_{i}",),
-        )
-        res = nested_f_test(NestedSpec(augmented, p1=p), y)
-        sign = math.copysign(1.0, e_i)
-        r_i = sign * math.sqrt(res.f_null)
-        t_i = sign * math.sqrt(res.f_trad) if not res.saturated else sign * math.inf
-        p_out = 2.0 * cdf(dist, -abs(t_i))
+    cells = zip(h.tolist(), e.tolist(), r.tolist(), t.tolist(), flagged.tolist(), tested.tolist())
+    for i, (h_i, e_i, r_i, t_i, flag_i, test_i) in enumerate(cells):
+        if flag_i:
+            r_i = t_i = p_out = bonf = gap = math.nan
+        elif not test_i:
+            r_i = t_i = gap = 0.0
+            p_out = bonf = 1.0
+        else:
+            p_out = 2.0 * cdf(dist, -abs(t_i))
+            bonf = min(1.0, n * p_out)
+            gap = abs(t_i - r_i)
         rows.append(
             DiagnosticsRow(
-                index=i, leverage=h[i], raw_residual=e_i,
+                index=i, leverage=h_i, raw_residual=e_i,
                 standardized=r_i, studentized=t_i,
-                outlier_p_value=p_out,
-                bonferroni_p_value=min(1.0, n * p_out),
-                gap=abs(t_i - r_i),
+                outlier_p_value=p_out, bonferroni_p_value=bonf,
+                gap=gap, flagged=flag_i,
             )
         )
-    return DiagnosticsTable(rows=tuple(rows), n=n, p=p)
+    return DiagnosticsTable(rows=tuple(rows), n=n, p=p, fitted=tuple(fitted.tolist()))
 
 
 def map_standardized_to_studentized(r: float, n: int, p1: int) -> float:

@@ -168,6 +168,13 @@ class FGeometry(NamedTuple):
     b: float
     c: float
 
+    @classmethod
+    def from_result(cls, res: NestedFTestResult) -> "FGeometry":
+        """The triangle of a nested test already run (see f_geometry)."""
+        a = math.sqrt(res.sse1)
+        b = math.sqrt(res.ss2given1)
+        return cls(math.acos(min(1.0, b / a)), a, b, math.sqrt(res.sse12))
+
 
 def _qr_with_rank_check(x: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
     q, r = np.linalg.qr(x.data, mode="reduced")
@@ -286,8 +293,4 @@ def f_geometry(spec: NestedSpec, y: Sample) -> FGeometry:
     the legs; theta = arccos(b/a), so cos^2(theta) carries F_null and
     cot^2(theta) carries F_trad.
     """
-    res = nested_f_test(spec, y)
-    a = math.sqrt(res.sse1)
-    b = math.sqrt(res.ss2given1)
-    c = math.sqrt(res.sse12)
-    return FGeometry(math.acos(min(1.0, b / a)), a, b, c)
+    return FGeometry.from_result(nested_f_test(spec, y))

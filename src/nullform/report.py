@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 __all__ = ["AnalysisReport", "REPORT_VERSION"]
 
@@ -48,6 +48,7 @@ class AnalysisReport:
         # canonicalize payload containers up front (tuples to lists, NaN to
         # null) so that serialize/parse is an exact round trip
         object.__setattr__(self, "command", tuple(str(c) for c in self.command))
+        object.__setattr__(self, "alpha", _jsonable(self.alpha))
         object.__setattr__(self, "results", _jsonable(self.results))
         object.__setattr__(self, "decisions", _jsonable(self.decisions))
         if self.diagnostics is not None:
@@ -57,7 +58,8 @@ class AnalysisReport:
         object.__setattr__(self, "warnings", tuple(str(w) for w in self.warnings))
 
     def to_json(self) -> str:
-        payload = _jsonable(asdict(self))
+        # every field was canonicalized in __post_init__
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
         return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     @classmethod

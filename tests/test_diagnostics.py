@@ -1,6 +1,6 @@
-"""Diagnostics: the 3-point hand example, the leave-one-out closed form as
-an independent oracle, decision equivalence across all four statistics, and
-the gap ranking."""
+"""Diagnostics: the 3-point hand example, the leave-one-out closed form and
+the per-row augmented nested F-test as independent oracles, decision
+equivalence across all four statistics, and the gap ranking."""
 
 import math
 
@@ -16,7 +16,7 @@ from nullform.diagnostics import (
     residual_gaps,
 )
 from nullform.errors import DomainError
-from nullform.linmodel import DesignMatrix, fit
+from nullform.linmodel import DesignMatrix, NestedSpec, fit, nested_f_test
 from nullform.sample import Sample
 from nullform.specfun import cdf, fisher_f, quantile, student_t
 
@@ -36,6 +36,22 @@ def loo_studentized(xarr, yarr):
         s2_i = sse_i / (n - 1 - p)
         out[i] = resid[i] / math.sqrt(s2_i * (1.0 - h[i]))
     return out
+
+
+def augmented_f_test(xarr, yarr, i):
+    """Row i's outlier test run literally: the nested F-test of an indicator
+    column appended to the design, used only as an oracle."""
+    n, p = xarr.shape
+    indicator = np.zeros(n)
+    indicator[i] = 1.0
+    spec = NestedSpec(DesignMatrix(np.column_stack([xarr, indicator])), p1=p)
+    return nested_f_test(spec, Sample.from_iterable(yarr))
+
+
+def random_regression(rng, n, p):
+    xarr = rng.standard_normal((n, p))
+    xarr[:, 0] = 1.0
+    return xarr, xarr @ rng.standard_normal(p) + rng.standard_normal(n)
 
 
 class TestWorkedExample:
@@ -96,6 +112,35 @@ class TestOracles:
             got = np.array([row.studentized for row in table])
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
+    def test_augmented_oracle_on_random_regressions(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(40):
+            n = int(rng.integers(6, 30))
+            xarr, yarr = random_regression(rng, n, int(rng.integers(1, min(5, n - 2))))
+            table = residual_diagnostics(DesignMatrix(xarr), Sample.from_iterable(yarr))
+            for row in table:
+                res = augmented_f_test(xarr, yarr, row.index)
+                assert row.standardized**2 == pytest.approx(res.f_null, rel=1e-9)
+                assert row.studentized**2 == pytest.approx(res.f_trad, rel=1e-9)
+
+    def test_augmented_oracle_with_extreme_outlier(self):
+        # a 1e6-sigma outlier carries nearly all of SSE: SSE - SS_{2|1,i}
+        # cancels for that row, so its SSE_12,i must be summed directly
+        rng = np.random.default_rng(6)
+        n, p, k = 40, 3, 5
+        xarr, yarr = random_regression(rng, n, p)
+        yarr[k] += 1e6
+        table = residual_diagnostics(DesignMatrix(xarr), Sample.from_iterable(yarr))
+        for row in table:
+            res = augmented_f_test(xarr, yarr, row.index)
+            assert row.standardized**2 == pytest.approx(res.f_null, rel=1e-9)
+            assert row.studentized**2 == pytest.approx(res.f_trad, rel=1e-9)
+        # the plain subtraction misses on the outlier's row
+        base = fit(DesignMatrix(xarr), Sample.from_iterable(yarr))
+        ss2 = base.residuals[k] ** 2 / (1.0 - table.rows[k].leverage)
+        plain = ss2 / ((base.sse - ss2) / (n - p - 1))
+        assert plain != pytest.approx(augmented_f_test(xarr, yarr, k).f_trad, rel=1e-9)
+
     def test_standardized_closed_form(self):
         # r_i = e_i / sqrt(sse/(n-p) * (1 - h_i))
         rng = np.random.default_rng(5)
@@ -152,6 +197,22 @@ class TestEdgeCases:
         assert all(not row.flagged for row in others)
         # flagged rows stay out of the gap ranking
         assert all(idx != 3 for idx, _ in residual_gaps(table))
+
+    def test_predictor_scale_does_not_matter(self):
+        # row 0 sits at x = 40 with leverage ~0.988; rescaling the predictor
+        # must not turn its outlier test into a rank-deficiency error
+        rng = np.random.default_rng(40)
+        n = 30
+        xs = np.append(40.0, rng.standard_normal(n - 1))
+        yarr = 1.0 + 0.5 * xs + rng.standard_normal(n)
+        y = Sample.from_iterable(yarr)
+        base = residual_diagnostics(DesignMatrix.from_columns([np.ones(n), xs]), y)
+        assert base.rows[0].leverage > 0.98
+        scaled = residual_diagnostics(DesignMatrix.from_columns([np.ones(n), 1e8 * xs]), y)
+        for a, b in zip(base, scaled):
+            assert b.leverage == pytest.approx(a.leverage, rel=1e-9)
+            assert b.standardized**2 == pytest.approx(a.standardized**2, rel=1e-9)
+            assert b.studentized**2 == pytest.approx(a.studentized**2, rel=1e-9)
 
     def test_needs_spare_degrees_of_freedom(self):
         with pytest.raises(DomainError):

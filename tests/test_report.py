@@ -33,6 +33,37 @@ def test_round_trip_is_exact():
     assert again.to_json() == report.to_json()
 
 
+def test_to_json_bytes_pinned():
+    report = sample_report(
+        alpha=0.1,
+        results={"t": math.inf, "cols": ("a", "b"), "nested": {"r": (1.5, math.nan)}},
+        diagnostics=(
+            {"index": 0, "label": "a", "leverage": 0.25, "studentized": math.nan,
+             "flagged": True},
+            {"index": 1, "label": "b", "leverage": 0.5, "studentized": -2.0,
+             "flagged": False},
+        ),
+    )
+    canonical = {
+        "test": "ttest",
+        "command": ["nullform", "ttest", "--mu0", "0"],
+        "alpha": 0.1,
+        "results": {"t": None, "cols": ["a", "b"], "nested": {"r": [1.5, None]}},
+        "decisions": {"reject_traditional": True, "reject_null_form": True},
+        "input_digest": "ab" * 32,
+        "diagnostics": [
+            {"index": 0, "label": "a", "leverage": 0.25, "studentized": None,
+             "flagged": True},
+            {"index": 1, "label": "b", "leverage": 0.5, "studentized": -2.0,
+             "flagged": False},
+        ],
+        "warnings": ["dropped 1 row(s) with unusable cells"],
+        "version": REPORT_VERSION,
+    }
+    want = json.dumps(canonical, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert report.to_json() == want
+
+
 def test_serialization_is_byte_deterministic():
     a = sample_report().to_json()
     b = sample_report().to_json()
