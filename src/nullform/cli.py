@@ -17,18 +17,21 @@ import math
 import os
 import sys
 
+# file_digest stays bound here unused: nullbench/tracing.py wraps it
 from .dataio import Dataset, file_digest, ingest_csv
 from .diagnostics import residual_diagnostics, residual_gaps
 from .errors import DataError, DomainError, NullformError, NumericError
 # fit and f_geometry stay bound here unused: nullbench/tracing.py wraps them
 from .linmodel import DesignMatrix, FGeometry, NestedSpec, f_geometry, fit, nested_f_test
+# null_law_check stays bound here unused: nullbench/tracing.py wraps it
 from .montecarlo import Scenario, SimConfig, null_law_check, simulate_size_power
 from .proportion import ProportionData, proportion_test
 from .report import AnalysisReport
 from .sample import Sample
 from .specfun import std_normal_cdf
 from .svgplot import emit_residual_plots
-from .ttest import geometry, t_test
+# geometry stays bound here unused: nullbench/tracing.py wraps it
+from .ttest import Geometry, geometry, t_test
 
 __all__ = ["run_command", "main"]
 
@@ -175,8 +178,7 @@ def _cmd_ttest(args, argv) -> AnalysisReport:
         "degenerate": res.degenerate, "boundary": res.boundary,
     }
     if not res.degenerate:
-        results["theta"] = geometry(sample, args.mu0).theta
-    warnings = _drop_warnings(dataset)
+        results["theta"] = Geometry.from_result(res).theta
     return AnalysisReport(
         test="ttest", command=("nullform", *argv), alpha=alpha,
         results=results,
@@ -184,7 +186,7 @@ def _cmd_ttest(args, argv) -> AnalysisReport:
             "reject_traditional": res.p_value_t <= alpha,
             "reject_null_form": res.p_value_t0 <= alpha,
         },
-        input_digest=file_digest(args.input), warnings=warnings,
+        input_digest=dataset.digest, warnings=_drop_warnings(dataset),
     )
 
 
@@ -253,7 +255,7 @@ def _cmd_ftest(args, argv) -> AnalysisReport:
             "reject_traditional": res.p_value_f <= alpha,
             "reject_null_form": res.p_value_beta <= alpha,
         },
-        input_digest=file_digest(args.input), warnings=_drop_warnings(dataset),
+        input_digest=dataset.digest, warnings=_drop_warnings(dataset),
     )
 
 
@@ -289,7 +291,7 @@ def _cmd_outliers(args, argv) -> AnalysisReport:
         test="outliers", command=("nullform", *argv), alpha=alpha,
         results=results,
         decisions={"any_outlier": bool(outliers)},
-        input_digest=file_digest(args.input),
+        input_digest=dataset.digest,
         # report columns are the DiagnosticsRow fields plus the row label
         diagnostics=tuple({"label": labels[r.index], **vars(r)} for r in table.rows),
         warnings=_drop_warnings(dataset),
@@ -318,8 +320,8 @@ def _cmd_simulate(args, argv) -> AnalysisReport:
         results["p1"], results["p2"] = cfg.p1, cfg.p2
     if scenario is Scenario.PROPORTION:
         results["p0"] = cfg.p0
-    if cfg.effect == 0.0 and scenario is not Scenario.PROPORTION:
-        results["ks_statistic"] = null_law_check(cfg)
+    if res.ks_statistic is not None:
+        results["ks_statistic"] = res.ks_statistic
         results["ks_critical_1pct"] = 1.63 / math.sqrt(cfg.replicates)
     return AnalysisReport(
         test="simulate", command=("nullform", *argv), alpha=alpha,
@@ -339,7 +341,7 @@ def _cmd_plot(args, argv) -> AnalysisReport:
             "n": table.n, "out": str(args.out), "labeled_outliers": outliers,
         },
         decisions={"any_outlier": bool(outliers)},
-        input_digest=file_digest(args.input),
+        input_digest=dataset.digest,
         warnings=_drop_warnings(dataset),
     )
 

@@ -29,6 +29,8 @@ class Dataset:
     source: str
     n_rows: int
     dropped_rows: int
+    # sha256 hex digest of the exact bytes parsed, for report provenance
+    digest: str
     # optional per-row text labels (a non-numeric identifier column)
     row_labels: tuple[str, ...] | None = None
 
@@ -67,12 +69,14 @@ def ingest_csv(
     label column.  `log_columns` natural-log transforms the named columns
     after ingestion.  Rows with unusable numeric cells are dropped and
     counted in `dropped_rows`; row numbers in error messages count data rows
-    from 1.
+    from 1.  The file is read once, and `digest` is the sha256 of the bytes
+    parsed.  Bytes that are not UTF-8 and duplicate header names are errors.
     """
     path = Path(path)
     try:
-        raw_lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+        data = path.read_bytes()
+        raw_lines = data.decode("utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
     reader = csv.reader(raw_lines, delimiter=delimiter)
@@ -83,6 +87,8 @@ def ingest_csv(
     if header:
         names = [name.strip() for name in rows[0]]
         data_rows = rows[1:]
+        if len(set(names)) < len(names):
+            raise DataError(f"duplicate column names in the header of {path}: {names}")
     else:
         names = [f"col{i}" for i in range(len(rows[0]))]
         data_rows = rows
@@ -139,6 +145,7 @@ def ingest_csv(
         source=str(path),
         n_rows=len(parsed),
         dropped_rows=dropped,
+        digest=hashlib.sha256(data).hexdigest(),
         row_labels=tuple(labels) if label_idx is not None else None,
     )
 

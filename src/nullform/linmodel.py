@@ -8,14 +8,21 @@ column-prefix reduction X1 and reports
     F_trad = (SS_{2|1} / p2) / (SSE_12 / (n - p)),
     F_null = (SS_{2|1} / p2) / (SSE_1  / (n - p1)),
 
-where SS_{2|1} = SSE_1 - SSE_12 is the reduction in error sum of squares.
-F_trad follows the usual F law; under H0 the scaled null form
-p2 F_null / (n - p1) follows Beta(p2/2, (n-p)/2).  Both p-value routes are
-computed and reported; the two must agree to rounding.
+where SS_{2|1} is the reduction in error sum of squares.  One QR of the full
+design X = QR gives all three sums, because the first p1 columns Q1 of Q span
+X1: with the effects vector Q^T y = (Q1^T y, Q2^T y),
 
-The p1 = 0 case (no reduced predictors at all) defines the reduced fit as
-the zero function, SSE_1 = ||y||^2, which makes the one-sample t-test an
-exact special case of this module.
+    SSE_12 = ||y - Q Q^T y||^2,  SS_{2|1} = ||Q2^T y||^2,  SSE_1 = SSE_12 + SS_{2|1},
+
+so SS_{2|1} is never the cancelling difference SSE_1 - SSE_12 (Bjorck,
+Numerical Methods for Least Squares Problems, SIAM 1996).  F_trad follows
+the usual F law; under H0 the scaled null form p2 F_null / (n - p1) follows
+Beta(p2/2, (n-p)/2).  Both p-value routes are computed and reported; the two
+must agree to rounding.
+
+The p1 = 0 case (no reduced predictors at all) needs no branch: Q1 is empty,
+the reduced fit is the zero function and SSE_1 = ||y||^2, which makes the
+one-sample t-test the exact special case X = 1.
 """
 
 from __future__ import annotations
@@ -97,12 +104,6 @@ class DesignMatrix:
     @property
     def n_cols(self) -> int:
         return self.data.shape[1]
-
-    def prefix(self, p1: int) -> "DesignMatrix":
-        """The sub-design made of the first p1 columns."""
-        if not 1 <= p1 <= self.n_cols:
-            raise DomainError(f"prefix width must be in [1, {self.n_cols}], got {p1}")
-        return DesignMatrix(self.data[:, :p1], self.labels[:p1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,6 +187,18 @@ def _qr_with_rank_check(x: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
+def _nested_sums(
+    q: np.ndarray, p1: int, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(SSE_1, SSE_12, SS_{2|1}) of y, shape (n,) or (m, n), from the
+    orthonormal factor q of a full design whose first p1 columns span X1."""
+    coef = y @ q
+    resid = y - coef @ q.T
+    sse12 = np.einsum("...i,...i->...", resid, resid)
+    ss2given1 = np.einsum("...i,...i->...", coef[..., p1:], coef[..., p1:])
+    return sse12 + ss2given1, sse12, ss2given1
+
+
 def fit(x: DesignMatrix, y: Sample) -> FitResult:
     """Least-squares fit of y on the design columns via Householder QR.
 
@@ -227,22 +240,17 @@ def nested_f_test(spec: NestedSpec, y: Sample) -> NestedFTestResult:
     if y.n != n:
         raise DomainError(f"design has {n} rows but the response has {y.n}")
 
-    full_fit = fit(spec.full, y)
-    sse12 = full_fit.sse
+    # X1's R diagonal is the leading part of the full one, under a threshold
+    # at least as strict, so this check also covers the reduced design
+    q, _ = _qr_with_rank_check(spec.full)
     yvec = np.asarray(y.values, dtype=np.float64)
-    ssy = float(yvec @ yvec)
-    if p1 == 0:
-        sse1 = ssy
-    else:
-        sse1 = fit(spec.full.prefix(p1), y).sse
+    sse1, sse12, ss2given1 = (float(v) for v in _nested_sums(q, p1, yvec))
 
     # an SSE below the square of 1e-12 * ||y|| cannot be told apart from an
     # exact interpolation; QR rounding alone produces dust of this size
-    tiny_sse = 1e-24 * ssy
+    tiny_sse = 1e-24 * float(yvec @ yvec)
     if sse1 <= tiny_sse:
         raise DomainError("reduced model already fits exactly; the F-test is undefined")
-    # guard the subtraction against cancellation leaking a tiny negative
-    ss2given1 = max(sse1 - sse12, 0.0)
     cos2_theta = ss2given1 / sse1
 
     if sse12 <= tiny_sse:

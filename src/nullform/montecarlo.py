@@ -16,6 +16,11 @@ draws (they live in different domains).
 
 Scenario domains: 1 = response noise, 2 = design entries, 3 = Bernoulli
 trials.
+
+The t scenario is the nested case X = 1 tested against the zero function
+(p1 = 0, p2 = 1): F_trad = T^2 and F_null = T0^2 come from the F scenario's
+sums of squares.  Replicates are drawn once; under the null the KS distance
+of the null form from its Beta law comes from that same draw.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .specfun import beta_params, cdf, fisher_f, normal_critical, quantile, student_t
+from .linmodel import _nested_sums
+from .specfun import beta_params, cdf, fisher_f, normal_critical, quantile
 
 __all__ = [
     "Scenario",
@@ -177,64 +183,37 @@ class SizePowerResult(NamedTuple):
     reject_rate_trad: float
     reject_rate_null: float
     disagreements: int
+    # KS distance of the scaled null form from its Beta law, from the same
+    # draw; None unless effect = 0 in the t or F scenario
+    ks_statistic: float | None
 
 
-def _t_squared_statistics(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(T^2, T0^2) per replicate for the one-sample scenario, mu0 = 0."""
-    n, reps = cfg.n, cfg.replicates
-    draws = normal_cells(cfg.seed, _DOMAIN_NOISE, 0, reps * n)
-    y = draws.reshape(reps, n) + cfg.effect
-    ybar = y.mean(axis=1)
-    dev = y - ybar[:, None]
-    sse = np.einsum("ij,ij->i", dev, dev)
-    ssto = np.einsum("ij,ij->i", y, y)
-    sst = n * ybar * ybar
-    with np.errstate(divide="ignore"):
-        t_sq = (n - 1) * sst / sse
-        t0_sq = n * sst / ssto
-    return t_sq, t0_sq
+def _nested_statistics(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """(F_trad, F_null, p1, p2) per replicate for the t and F scenarios.
 
-
-def _nested_design(cfg: SimConfig) -> np.ndarray:
-    """One fixed design per configuration: intercept column when p1 >= 1,
-    remaining entries standard normal from the design domain."""
-    n, p = cfg.n, cfg.p1 + cfg.p2
-    x = normal_cells(cfg.seed, _DOMAIN_DESIGN, 0, n * p).reshape(n, p)
-    if cfg.p1 >= 1:
-        x[:, 0] = 1.0
-    return x
-
-
-def _f_statistics(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(F_trad, F_null) per replicate for the nested scenario.
-
-    The response is X2 w * effect + noise with w the unit-norm equal-weight
-    direction, so effect = 0 is the exact null.
+    The F design is fixed per configuration: an intercept column when
+    p1 >= 1, the remaining entries standard normal from the design domain.
+    The t scenario is X = 1 with p1 = 0, where F_trad = T^2 and F_null = T0^2
+    (mu0 = 0).  The response is X2 w * effect + noise with w the unit-norm
+    equal-weight direction, so effect = 0 is the exact null.
     """
-    n, p1, p2, reps = cfg.n, cfg.p1, cfg.p2, cfg.replicates
+    n = cfg.n
+    if cfg.scenario is Scenario.ONE_SAMPLE_T:
+        x, p1, p2 = np.ones((n, 1)), 0, 1
+    else:
+        p1, p2 = cfg.p1, cfg.p2
+        x = normal_cells(cfg.seed, _DOMAIN_DESIGN, 0, n * (p1 + p2)).reshape(n, -1)
+        if p1 >= 1:
+            x[:, 0] = 1.0
     p = p1 + p2
-    x = _nested_design(cfg)
-    q_full, _ = np.linalg.qr(x)
-    noise = normal_cells(cfg.seed, _DOMAIN_NOISE, 0, reps * n).reshape(reps, n)
-    if cfg.effect != 0.0:
-        w = np.full(p2, 1.0 / math.sqrt(p2))
-        signal = x[:, p1:] @ (cfg.effect * w)
-        y = noise + signal
-    else:
-        y = noise
-    resid_full = y - (y @ q_full) @ q_full.T
-    sse12 = np.einsum("ij,ij->i", resid_full, resid_full)
-    if p1 == 0:
-        sse1 = np.einsum("ij,ij->i", y, y)
-    else:
-        q1, _ = np.linalg.qr(x[:, :p1])
-        resid_red = y - (y @ q1) @ q1.T
-        sse1 = np.einsum("ij,ij->i", resid_red, resid_red)
-    ss2given1 = np.maximum(sse1 - sse12, 0.0)
+    q, _ = np.linalg.qr(x)
+    y = normal_cells(cfg.seed, _DOMAIN_NOISE, 0, cfg.replicates * n).reshape(-1, n)
+    y += x[:, p1:] @ (cfg.effect * np.full(p2, 1.0 / math.sqrt(p2)))
+    sse1, sse12, ss2given1 = _nested_sums(q, p1, y)
     with np.errstate(divide="ignore", invalid="ignore"):
         f_trad = (ss2given1 / p2) / (sse12 / (n - p))
         f_null = (ss2given1 / p2) / (sse1 / (n - p1))
-    return f_trad, f_null
+    return f_trad, f_null, p1, p2
 
 
 def _proportion_z(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -260,34 +239,38 @@ def simulate_size_power(cfg: SimConfig) -> SizePowerResult:
     For the t and F scenarios the two forms are equivalent tests, so the
     disagreement count is structurally zero; for the proportion scenario the
     two z statistics are genuinely different tests and the count reports how
-    often that difference changes the decision.
+    often that difference changes the decision.  Under the null (effect = 0)
+    of the t and F scenarios, ks_statistic is the null_law_check distance,
+    computed from the same draw.
     """
     alpha = cfg.alpha
-    if cfg.scenario is Scenario.ONE_SAMPLE_T:
-        t_sq, t0_sq = _t_squared_statistics(cfg)
-        n = cfg.n
-        t_crit = quantile(student_t(float(n - 1)), 1.0 - alpha / 2.0)
-        c0_sq = n * quantile(beta_params(0.5, 0.5 * (n - 1)), 1.0 - alpha)
-        reject_trad = t_sq >= t_crit * t_crit
-        reject_null = t0_sq >= c0_sq
-    elif cfg.scenario is Scenario.NESTED_F:
-        f_trad, f_null = _f_statistics(cfg)
-        n, p1, p2 = cfg.n, cfg.p1, cfg.p2
-        f_crit = quantile(fisher_f(float(p2), float(n - p1 - p2)), 1.0 - alpha)
-        beta_crit = quantile(beta_params(0.5 * p2, 0.5 * (n - p1 - p2)), 1.0 - alpha)
-        null_crit = beta_crit * (n - p1) / p2
-        reject_trad = f_trad >= f_crit
-        reject_null = f_null >= null_crit
-    else:
+    ks_statistic = None
+    if cfg.scenario is Scenario.PROPORTION:
         z_null, z_wald = _proportion_z(cfg)
         z_crit = normal_critical(alpha)
         reject_trad = np.abs(z_wald) >= z_crit
         reject_null = np.abs(z_null) >= z_crit
+    else:
+        f_trad, f_null, p1, p2 = _nested_statistics(cfg)
+        n = cfg.n
+        null_law = beta_params(0.5 * p2, 0.5 * (n - p1 - p2))
+        f_crit = quantile(fisher_f(float(p2), float(n - p1 - p2)), 1.0 - alpha)
+        null_crit = quantile(null_law, 1.0 - alpha) * (n - p1) / p2
+        reject_trad = f_trad >= f_crit
+        reject_null = f_null >= null_crit
+        if cfg.effect == 0.0:
+            # Kolmogorov-Smirnov distance of the scaled null form from its law
+            ordered = np.sort(p2 * f_null / (n - p1))
+            m, ks_statistic = ordered.size, 0.0
+            for i, x in enumerate(ordered):
+                f = cdf(null_law, float(x))
+                ks_statistic = max(ks_statistic, (i + 1) / m - f, f - i / m)
 
     return SizePowerResult(
         reject_rate_trad=float(reject_trad.mean()),
         reject_rate_null=float(reject_null.mean()),
         disagreements=int(np.count_nonzero(reject_trad != reject_null)),
+        ks_statistic=ks_statistic,
     )
 
 
@@ -296,25 +279,10 @@ def null_law_check(cfg: SimConfig) -> float:
 
     ONE_SAMPLE_T compares T0^2/n against Beta(1/2, (n-1)/2); NESTED_F
     compares p2 F_null / (n - p1) against Beta(p2/2, (n-p)/2).  Requires
-    effect = 0.
+    effect = 0.  The value is simulate_size_power(cfg).ks_statistic.
     """
     if cfg.effect != 0.0:
         raise DomainError("null_law_check requires effect = 0")
-    if cfg.scenario is Scenario.ONE_SAMPLE_T:
-        _, t0_sq = _t_squared_statistics(cfg)
-        scaled = t0_sq / cfg.n
-        ref = beta_params(0.5, 0.5 * (cfg.n - 1))
-    elif cfg.scenario is Scenario.NESTED_F:
-        _, f_null = _f_statistics(cfg)
-        scaled = cfg.p2 * f_null / (cfg.n - cfg.p1)
-        ref = beta_params(0.5 * cfg.p2, 0.5 * (cfg.n - cfg.p1 - cfg.p2))
-    else:
+    if cfg.scenario is Scenario.PROPORTION:
         raise DomainError("the proportion scenario has no continuous null law to check")
-
-    ordered = np.sort(scaled)
-    m = ordered.size
-    gaps = 0.0
-    for i, x in enumerate(ordered):
-        f = cdf(ref, float(x))
-        gaps = max(gaps, (i + 1) / m - f, f - i / m)
-    return gaps
+    return simulate_size_power(cfg).ks_statistic

@@ -73,6 +73,11 @@ class Geometry(NamedTuple):
     sst: float
     sse: float
 
+    @classmethod
+    def from_result(cls, res: TTestResult) -> "Geometry":
+        """The angle and SS fields of a t-test already run (see geometry)."""
+        return _geometry(res.df + 1, res.mu0, res.mean, res.ssto, res.sst, res.sse)
+
 
 def _sums_of_squares(y: Sample, mu0: float) -> tuple[float, float, float, float]:
     """Mean and the (SSTO, SST, SSE) decomposition about mu0.
@@ -199,9 +204,14 @@ def geometry(y: Sample, mu0: float) -> Geometry:
     mu0 = float(mu0)
     if not math.isfinite(mu0):
         raise DomainError(f"mu0 must be finite, got {mu0!r}")
-    ybar, ssto, sst, sse = _sums_of_squares(y, mu0)
+    return _geometry(y.n, mu0, *_sums_of_squares(y, mu0))
+
+
+def _geometry(
+    n: int, mu0: float, ybar: float, ssto: float, sst: float, sse: float
+) -> Geometry:
     if ssto == 0.0:
         raise DomainError("geometry is undefined when every value equals mu0")
-    cos_theta = math.sqrt(y.n) * (ybar - mu0) / math.sqrt(ssto)
+    cos_theta = math.sqrt(n) * (ybar - mu0) / math.sqrt(ssto)
     cos_theta = max(-1.0, min(1.0, cos_theta))
     return Geometry(math.acos(cos_theta), ssto, sst, sse)

@@ -212,6 +212,10 @@ def test_exit_code_usage():
 def test_exit_code_data(capsys, tmp_path):
     assert run_command(["ttest", "--input", str(tmp_path / "nope.csv"), "--mu0", "0"]) == 3
     assert "error:" in capsys.readouterr().err
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"y\n1\n\xff3\n")
+    assert run_command(["ttest", "--input", str(latin), "--mu0", "0"]) == 3
+    assert "can't decode byte 0xff" in capsys.readouterr().err
 
 
 def test_exit_code_numeric(capsys, tiny_csv, tmp_path):

@@ -122,8 +122,14 @@ def test_file_digest_matches_hashlib(tmp_path):
     path = write(tmp_path, "y\n1\n2\n3\n")
     expected = hashlib.sha256(path.read_bytes()).hexdigest()
     assert file_digest(path) == expected
+    assert ingest_csv(path).digest == expected
     with pytest.raises(DataError):
         file_digest(tmp_path / "nope.csv")
+
+
+def test_duplicate_header_names(tmp_path):
+    with pytest.raises(DataError, match="duplicate column names"):
+        ingest_csv(write(tmp_path, "y,x,y\n1,2,3\n"))
 
 
 def test_dataset_is_frozen(tmp_path):

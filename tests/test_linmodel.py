@@ -3,6 +3,7 @@ fitting oracle, t-test reduction as the cross-module oracle, and the
 equivalence identities on random nested problems."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +33,24 @@ def random_nested_problem(seed, n_min=5, n_max=40, p_max=6):
     beta = rng.standard_normal(p)
     y = x @ beta + rng.standard_normal(n)
     return NestedSpec(DesignMatrix(x), p1), Sample.from_iterable(y)
+
+
+def exact_sse(columns, y):
+    """Residual sum of squares of y on the columns, exactly: the normal
+    equations solved by Gauss-Jordan elimination over the rationals."""
+    cols = [[Fraction(v) for v in c] for c in columns]
+    ys = [Fraction(v) for v in y]
+    rhs = [sum(u * v for u, v in zip(c, ys)) for c in cols]
+    k = len(cols)
+    a = [[sum(u * v for u, v in zip(ci, cj)) for cj in cols] + [b]
+         for ci, b in zip(cols, rhs)]
+    for j in range(k):
+        for i in range(k):
+            if i != j:
+                factor = a[i][j] / a[j][j]
+                a[i] = [u - factor * v for u, v in zip(a[i], a[j])]
+    coef = [a[j][k] / a[j][j] for j in range(k)]
+    return sum(v * v for v in ys) - sum(b * r for b, r in zip(coef, rhs))
 
 
 class TestFit:
@@ -163,6 +182,34 @@ class TestNestedFTest:
             assert fres.f_null == pytest.approx(tres.t0**2, rel=1e-10)
             assert fres.p_value_f == pytest.approx(tres.p_value_t, abs=1e-12)
             assert fres.p_value_beta == pytest.approx(tres.p_value_t0, abs=1e-12)
+
+
+    @pytest.mark.parametrize("p1", [0, 1])
+    @pytest.mark.parametrize("ratio", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+    def test_exact_oracle_near_the_null(self, p1, ratio):
+        # SS_{2|1} / SSE_1 = ratio: the tested column explains almost nothing,
+        # so SSE_1 - SSE_12 would cancel; the exact rational oracle sees the
+        # float inputs as they are
+        rng = np.random.default_rng(29)
+        n, p = 12, 3
+        x = rng.standard_normal((n, p))
+        x[:, 0] = 1.0
+        resid = rng.standard_normal(n)
+        resid -= x @ np.linalg.lstsq(x, resid, rcond=None)[0]
+        x1, tested = x[:, :p1], x[:, p1]
+        z = tested - x1 @ np.linalg.lstsq(x1, tested, rcond=None)[0] if p1 else tested
+        scale = math.sqrt(ratio / (1.0 - ratio)) * np.linalg.norm(resid) / np.linalg.norm(z)
+        y = x1 @ rng.uniform(1.0, 3.0, p1) + resid + scale * z
+        cols = [x[:, j] for j in range(p)]
+        full = exact_sse(cols, y)
+        reduced = exact_sse(cols[:p1], y)
+        ss2 = reduced - full
+        assert abs(float(ss2 / reduced) - ratio) < 0.01 * ratio
+        f_trad = float((ss2 / (p - p1)) / (full / (n - p)))
+        f_null = float((ss2 / (p - p1)) / (reduced / (n - p1)))
+        res = nested_f_test(NestedSpec(DesignMatrix(x), p1), Sample.from_iterable(y))
+        assert res.f_trad == pytest.approx(f_trad, rel=1e-9, abs=0.0)
+        assert res.f_null == pytest.approx(f_null, rel=1e-9, abs=0.0)
 
 
 class TestMapFnullToFtrad:

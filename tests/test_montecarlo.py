@@ -16,6 +16,7 @@ from nullform.montecarlo import (
     simulate_size_power,
     uniform_cells,
 )
+from nullform.specfun import beta_params, quantile, student_t
 
 
 class TestGenerator:
@@ -134,6 +135,26 @@ class TestSizeAndPower:
         assert all(b >= a - slack for a, b in zip(rates, rates[1:]))
         assert rates[-1] > rates[0]
 
+    @pytest.mark.parametrize("effect", [0.0, 0.4])
+    def test_t_scenario_matches_sample_mean_route(self, effect):
+        # the t scenario runs as the nested case X = 1; recompute T^2 and T0^2
+        # from the sample mean, with t and Beta critical values
+        n, reps, alpha = 10, 20_000, 0.05
+        cfg = SimConfig(replicates=reps, seed=101, n=n,
+                        scenario=Scenario.ONE_SAMPLE_T, effect=effect)
+        y = normal_cells(cfg.seed, 1, 0, reps * n).reshape(reps, n) + effect
+        ybar = y.mean(axis=1)
+        ss_mean = n * ybar * ybar
+        t_sq = (n - 1) * ss_mean / ((y - ybar[:, None]) ** 2).sum(axis=1)
+        t0_sq = n * ss_mean / (y * y).sum(axis=1)
+        t_crit = quantile(student_t(float(n - 1)), 1.0 - alpha / 2.0)
+        reject_trad = t_sq >= t_crit * t_crit
+        reject_null = t0_sq >= n * quantile(beta_params(0.5, 0.5 * (n - 1)), 1.0 - alpha)
+        res = simulate_size_power(cfg)
+        assert res.reject_rate_trad == float(reject_trad.mean())
+        assert res.reject_rate_null == float(reject_null.mean())
+        assert res.disagreements == int(np.count_nonzero(reject_trad != reject_null))
+
     def test_proportion_scenario_reports_disagreements(self):
         # the two z forms are different tests; near the boundary of the
         # rejection region they genuinely disagree on some replicates
@@ -162,6 +183,18 @@ class TestNullLaw:
         )
         ks = null_law_check(cfg)
         assert ks < 1.63 / math.sqrt(20_000)
+
+    @pytest.mark.parametrize("scenario", [Scenario.ONE_SAMPLE_T, Scenario.NESTED_F])
+    def test_simulation_carries_the_ks_of_its_own_draw(self, scenario):
+        cfg = SimConfig(replicates=2_000, seed=505, n=12, scenario=scenario, p1=2, p2=2)
+        assert simulate_size_power(cfg).ks_statistic == null_law_check(cfg)
+        shifted = SimConfig(replicates=200, seed=505, n=12, scenario=scenario,
+                            p1=2, p2=2, effect=0.5)
+        assert simulate_size_power(shifted).ks_statistic is None
+
+    def test_no_ks_for_proportion(self):
+        cfg = SimConfig(replicates=100, seed=1, n=10, scenario=Scenario.PROPORTION)
+        assert simulate_size_power(cfg).ks_statistic is None
 
     def test_requires_null_truth(self):
         cfg = SimConfig(

@@ -13,6 +13,7 @@ from nullform.errors import DomainError
 from nullform.sample import Sample
 from nullform.specfun import beta_params, quantile, student_t
 from nullform.ttest import (
+    Geometry,
     geometry,
     lrt_ratio,
     map_critical_value,
@@ -193,6 +194,15 @@ class TestGeometry:
     def test_undefined_at_zero_vector(self):
         with pytest.raises(DomainError):
             geometry(Sample.from_iterable([1.0, 1.0]), 1.0)
+
+    @pytest.mark.parametrize("values, mu0", [
+        ([1.0, 2.0, 3.0], 0.0),
+        ([0.1, 0.7, -0.3, 2.9, 1.3], 0.9),
+        ([3.0, 3.0, 3.0], 5.0),  # boundary: SSE = 0, theta = pi
+    ])
+    def test_from_result_matches_geometry(self, values, mu0):
+        y = Sample.from_iterable(values)
+        assert Geometry.from_result(t_test(y, mu0)) == geometry(y, mu0)
 
 
 class TestIdentities:
