@@ -53,6 +53,7 @@ from .specfun import (
     Family,
     beta_params,
     cdf,
+    cdf_array,
     chi_square,
     fisher_f,
     log_beta,
@@ -109,6 +110,7 @@ __all__ = [
     "TTestResult",
     "beta_params",
     "cdf",
+    "cdf_array",
     "chi_square",
     "emit_residual_plots",
     "f_geometry",

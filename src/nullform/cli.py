@@ -196,8 +196,8 @@ def _cmd_proptest(args, argv) -> AnalysisReport:
     if args.alternative == "two-sided":
         p_null, p_wald = res.p_value_null, res.p_value_wald
     elif args.alternative == "greater":
-        p_null = 1.0 - std_normal_cdf(res.z_null)
-        p_wald = 1.0 - std_normal_cdf(res.z_wald) if not res.wald_degenerate else (
+        p_null = std_normal_cdf(-res.z_null)
+        p_wald = std_normal_cdf(-res.z_wald) if not res.wald_degenerate else (
             0.0 if res.z_wald > 0 else 1.0
         )
     else:

@@ -33,7 +33,8 @@ from .errors import DomainError
 # fit and nested_f_test stay bound here unused: nullbench/tracing.py wraps them
 from .linmodel import DesignMatrix, _qr_with_rank_check, fit, nested_f_test
 from .sample import Sample
-from .specfun import cdf, student_t
+# cdf stays bound here unused: nullbench/tracing.py wraps it
+from .specfun import cdf, cdf_array, student_t
 
 __all__ = [
     "DiagnosticsRow",
@@ -100,7 +101,8 @@ def residual_diagnostics(x: DesignMatrix, y: Sample) -> DiagnosticsTable:
     Needs n > p + 1 so the indicator-augmented model keeps positive residual
     degrees of freedom.  Observations whose leverage is (numerically) 1 are
     flagged rather than tested.  Outlier p-values are two-sided Student t
-    tails with the full augmented-model residual df, n - p - 1.
+    tails with the full augmented-model residual df, n - p - 1, evaluated for
+    every tested row in one `cdf_array` call.
     """
     n, p = x.n_rows, x.n_cols
     if n <= p + 1:
@@ -134,24 +136,25 @@ def residual_diagnostics(x: DesignMatrix, y: Sample) -> DiagnosticsTable:
         r = np.copysign(np.sqrt(f_null), e)
         t = np.copysign(np.where(sse12 <= tiny_sse, np.inf, np.sqrt(f_trad)), e)
 
-    dist = student_t(float(n - p - 1))
+    p_out = np.ones(n)
+    p_out[tested] = 2.0 * cdf_array(student_t(float(n - p - 1)), -np.abs(t[tested]))
     rows = []
-    cells = zip(h.tolist(), e.tolist(), r.tolist(), t.tolist(), flagged.tolist(), tested.tolist())
-    for i, (h_i, e_i, r_i, t_i, flag_i, test_i) in enumerate(cells):
+    cells = zip(h.tolist(), e.tolist(), r.tolist(), t.tolist(), p_out.tolist(),
+                flagged.tolist(), tested.tolist())
+    for i, (h_i, e_i, r_i, t_i, p_i, flag_i, test_i) in enumerate(cells):
         if flag_i:
-            r_i = t_i = p_out = bonf = gap = math.nan
+            r_i = t_i = p_i = bonf = gap = math.nan
         elif not test_i:
             r_i = t_i = gap = 0.0
-            p_out = bonf = 1.0
+            bonf = 1.0
         else:
-            p_out = 2.0 * cdf(dist, -abs(t_i))
-            bonf = min(1.0, n * p_out)
+            bonf = min(1.0, n * p_i)
             gap = abs(t_i - r_i)
         rows.append(
             DiagnosticsRow(
                 index=i, leverage=h_i, raw_residual=e_i,
                 standardized=r_i, studentized=t_i,
-                outlier_p_value=p_out, bonferroni_p_value=bonf,
+                outlier_p_value=p_i, bonferroni_p_value=bonf,
                 gap=gap, flagged=flag_i,
             )
         )

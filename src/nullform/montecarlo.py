@@ -12,7 +12,10 @@ variates use the Marsaglia polar method with per-cell rejection: attempt k of
 a cell consumes raw values 2k and 2k+1, so a rejected pair never shifts the
 stream of any other cell.  Results are therefore bit-identical no matter how
 replicates are partitioned across workers, and two scenarios never share
-draws (they live in different domains).
+draws (they live in different domains).  The generator works through blocks
+of 2^16 cells, so its temporaries stay small whatever the draw size; the
+proportion scenario counts successes one block of replicates at a time
+instead of holding all replicates x n uniforms.
 
 Scenario domains: 1 = response noise, 2 = design entries, 3 = Bernoulli
 trials.
@@ -20,7 +23,8 @@ trials.
 The t scenario is the nested case X = 1 tested against the zero function
 (p1 = 0, p2 = 1): F_trad = T^2 and F_null = T0^2 come from the F scenario's
 sums of squares.  Replicates are drawn once; under the null the KS distance
-of the null form from its Beta law comes from that same draw.
+of the null form from its Beta law comes from that same draw, with the law
+evaluated at every ordered replicate in one `cdf_array` call.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .linmodel import _nested_sums
-from .specfun import beta_params, cdf, fisher_f, normal_critical, quantile
+# cdf stays bound here unused: nullbench/tracing.py wraps it
+from .specfun import beta_params, cdf, cdf_array, fisher_f, normal_critical, quantile
 
 __all__ = [
     "Scenario",
@@ -58,6 +63,11 @@ _DOMAIN_TRIALS = 3
 # polar rejection accepts ~78.5% per attempt; 64 straight misses has
 # probability ~1e-42 per cell and indicates a broken generator
 _MAX_POLAR_ATTEMPTS = 64
+
+# cells drawn per block: every temporary of the generator is then 512 KiB,
+# which stays in cache and reuses freed memory instead of faulting in fresh
+# pages for every full-size temporary of one large draw
+_BLOCK_CELLS = 1 << 16
 
 
 def _mix64_int(x: int) -> int:
@@ -99,14 +109,25 @@ def _to_unit(raw: np.ndarray) -> np.ndarray:
 
 def uniform_cells(seed: int, domain: int, start: int, count: int) -> np.ndarray:
     """count uniforms on (0,1), one per cell, for cells [start, start+count)."""
-    return _to_unit(_raw(_cell_keys(seed, domain, start, count), 0))
+    out = np.empty(count)
+    for lo in range(0, count, _BLOCK_CELLS):
+        block = out[lo:lo + _BLOCK_CELLS]
+        block[:] = _to_unit(_raw(_cell_keys(seed, domain, start + lo, block.size), 0))
+    return out
 
 
 def normal_cells(seed: int, domain: int, start: int, count: int) -> np.ndarray:
     """count standard normals, one per cell, for cells [start, start+count)."""
-    keys = _cell_keys(seed, domain, start, count)
     out = np.empty(count)
-    pending = np.arange(count)
+    for lo in range(0, count, _BLOCK_CELLS):
+        block = out[lo:lo + _BLOCK_CELLS]
+        _fill_normals(block, _cell_keys(seed, domain, start + lo, block.size))
+    return out
+
+
+def _fill_normals(out: np.ndarray, keys: np.ndarray) -> None:
+    """Polar-method normals into out, one per cell key."""
+    pending = np.arange(out.size)
     k = 0
     while pending.size:
         if k >= _MAX_POLAR_ATTEMPTS:
@@ -119,7 +140,6 @@ def normal_cells(seed: int, domain: int, start: int, count: int) -> np.ndarray:
         out[pending[ok]] = v1[ok] * np.sqrt(-2.0 * np.log(accepted) / accepted)
         pending = pending[~ok]
         k += 1
-    return out
 
 
 class Scenario(Enum):
@@ -220,8 +240,14 @@ def _proportion_z(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """(z_null, z_wald) per replicate for the proportion scenario."""
     n, reps, p0 = cfg.n, cfg.replicates, cfg.p0
     p_true = p0 + cfg.effect
-    u = uniform_cells(cfg.seed, _DOMAIN_TRIALS, 0, reps * n).reshape(reps, n)
-    p_hat = (u < p_true).sum(axis=1) / n
+    # successes per replicate, counted one block of replicates at a time
+    rows = max(1, _BLOCK_CELLS // n)
+    successes = np.empty(reps, dtype=np.int64)
+    for lo in range(0, reps, rows):
+        m = min(rows, reps - lo)
+        u = uniform_cells(cfg.seed, _DOMAIN_TRIALS, lo * n, m * n).reshape(m, n)
+        successes[lo:lo + m] = (u < p_true).sum(axis=1)
+    p_hat = successes / n
     z_null = (p_hat - p0) / math.sqrt(p0 * (1.0 - p0) / n)
     wald_var = p_hat * (1.0 - p_hat) / n
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -261,10 +287,10 @@ def simulate_size_power(cfg: SimConfig) -> SizePowerResult:
         if cfg.effect == 0.0:
             # Kolmogorov-Smirnov distance of the scaled null form from its law
             ordered = np.sort(p2 * f_null / (n - p1))
-            m, ks_statistic = ordered.size, 0.0
-            for i, x in enumerate(ordered):
-                f = cdf(null_law, float(x))
-                ks_statistic = max(ks_statistic, (i + 1) / m - f, f - i / m)
+            f = cdf_array(null_law, ordered)
+            m = ordered.size
+            i = np.arange(m)
+            ks_statistic = float(np.max(np.maximum((i + 1) / m - f, f - i / m)))
 
     return SizePowerResult(
         reject_rate_trad=float(reject_trad.mean()),

@@ -29,7 +29,11 @@ def test_traced_ops_draw_once_and_factor_once(tmp_path, capsys):
         0: ["simulate", "--scenario", "t", "--replicates", "300", "--n", "6"],
         1: ["ftest", "--input", str(csv), "--response", "y", "--full-cols", "x1,x2",
             "--reduced-cols", "x1", "--intercept"],
+        2: ["outliers", "--input", str(csv), "--response", "y", "--predictors", "x1,x2"],
     }
+    for argv in ops.values():
+        # fill the quantile cache first: its misses call cdf inside specfun
+        assert cli.run_command(argv) == 0
     untraced = cli.nested_f_test
     tracer = tracing.Tracer(modules)
     try:
@@ -40,7 +44,12 @@ def test_traced_ops_draw_once_and_factor_once(tmp_path, capsys):
         tracer.uninstall()
     assert cli.nested_f_test is untraced
     capsys.readouterr()
-    counts = tracing.counts_by_command(tracer.spans, {0: "simulate:t", 1: "ftest"})
+    counts = tracing.counts_by_command(tracer.spans,
+                                       {0: "simulate:t", 1: "ftest", 2: "outliers"})
     assert counts["simulate:t"]["draws_per_cell"] == [1.0]
+    # the KS pass and the outlier p-values evaluate their laws in one
+    # cdf_array call each, never through scalar cdf
+    assert counts["simulate:t"]["cdf"] == [0]
+    assert counts["outliers"]["cdf"] == [0]
     assert counts["ftest"]["fit"] == [0]
     assert counts["ftest"]["nested_f_test"] == [1]

@@ -98,6 +98,16 @@ def test_proptest_one_sided(capsys):
     assert less["p_value_null"] + greater["p_value_null"] == pytest.approx(1.0)
 
 
+def test_proptest_far_tail(capsys):
+    # z_null = 9: the upper normal tail is 1.1e-19, not 1 - cdf = 0
+    base = ["proptest", "--successes", "95", "--n", "100", "--p0", "0.5"]
+    two = run_json(capsys, base)["results"]
+    greater = run_json(capsys, base + ["--alternative", "greater"])["results"]
+    upper = 0.5 * math.erfc(9.0 / math.sqrt(2.0))
+    assert two["p_value_null"] == pytest.approx(2.0 * upper, rel=1e-12)
+    assert greater["p_value_null"] == pytest.approx(upper, rel=1e-12)
+
+
 def test_ftest_columns_and_forms(capsys, reg_csv):
     payload = run_json(
         capsys,

@@ -164,6 +164,27 @@ class TestOracles:
             assert all(0.0 <= v <= 1.0 + 1e-12 for v in h)
 
 
+class TestPValues:
+    @pytest.mark.parametrize("spike", [6.0, -6.0])
+    def test_batch_p_values_match_scalar_cdf(self, spike):
+        # one cdf_array call for the table against 2 cdf(t, -|t_i|) per row;
+        # the exactly fitted response saturates row 7 to t = +-inf, p = 0
+        rng = np.random.default_rng(31)
+        xarr, noisy = random_regression(rng, 60, 3)
+        noisy[[4, 9]] += (40.0, -8.0)
+        exact = xarr @ rng.standard_normal(3)
+        exact[7] += spike
+        for yarr in (noisy, exact):
+            table = residual_diagnostics(DesignMatrix(xarr), Sample.from_iterable(yarr))
+            dist = student_t(float(table.n - table.p - 1))
+            for row in table:
+                want = 2.0 * cdf(dist, -abs(row.studentized))
+                assert row.outlier_p_value == pytest.approx(want, rel=1e-13, abs=0.0)
+                assert row.bonferroni_p_value == min(1.0, table.n * row.outlier_p_value)
+        assert table.rows[7].studentized == math.copysign(math.inf, spike)
+        assert table.rows[7].outlier_p_value == 0.0
+
+
 class TestEdgeCases:
     def test_zero_residual_row(self):
         table = residual_diagnostics(

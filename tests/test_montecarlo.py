@@ -9,14 +9,21 @@ from scipy import stats as sst
 
 from nullform.errors import DomainError
 from nullform.montecarlo import (
+    _BLOCK_CELLS,
     Scenario,
     SimConfig,
+    _cell_keys,
+    _fill_normals,
+    _nested_statistics,
+    _proportion_z,
+    _raw,
+    _to_unit,
     normal_cells,
     null_law_check,
     simulate_size_power,
     uniform_cells,
 )
-from nullform.specfun import beta_params, quantile, student_t
+from nullform.specfun import beta_params, cdf, quantile, student_t
 
 
 class TestGenerator:
@@ -46,6 +53,30 @@ class TestGenerator:
             ]
         )
         assert np.array_equal(whole, parts)
+
+    def test_blocked_draws_match_one_unblocked_draw(self):
+        # two and a half blocks from an offset: each blocked draw equals the
+        # same transform run over all cell keys at once
+        start, count = 1234, 5 * _BLOCK_CELLS // 2
+        keys = _cell_keys(9, 1, start, count)
+        whole = np.empty(count)
+        _fill_normals(whole, keys)
+        assert np.array_equal(normal_cells(seed=9, domain=1, start=start, count=count), whole)
+        assert np.array_equal(uniform_cells(seed=9, domain=1, start=start, count=count),
+                              _to_unit(_raw(keys, 0)))
+
+    @pytest.mark.parametrize("replicates, n", [(10_000, 30), (3, _BLOCK_CELLS + 7)])
+    def test_blocked_proportion_matches_one_array(self, replicates, n):
+        # blocks of replicates (several blocks; one replicate per block when
+        # n exceeds a block) give the z statistics of a single draw
+        cfg = SimConfig(replicates=replicates, seed=4, n=n, scenario=Scenario.PROPORTION,
+                        p0=0.3, effect=0.02)
+        u = uniform_cells(cfg.seed, 3, 0, replicates * n).reshape(replicates, n)
+        p_hat = (u < cfg.p0 + cfg.effect).sum(axis=1) / n
+        z_null, z_wald = _proportion_z(cfg)
+        assert np.array_equal(z_null, (p_hat - 0.3) / math.sqrt(0.3 * 0.7 / n))
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(z_wald, (p_hat - 0.3) / np.sqrt(p_hat * (1.0 - p_hat) / n))
 
     def test_domains_are_independent_streams(self):
         a = uniform_cells(seed=9, domain=1, start=0, count=100)
@@ -191,6 +222,22 @@ class TestNullLaw:
         shifted = SimConfig(replicates=200, seed=505, n=12, scenario=scenario,
                             p1=2, p2=2, effect=0.5)
         assert simulate_size_power(shifted).ks_statistic is None
+
+    @pytest.mark.parametrize("cfg", [
+        SimConfig(replicates=100_000, seed=20260814, n=20, scenario=Scenario.NESTED_F,
+                  p1=2, p2=2),
+        SimConfig(replicates=100_000, seed=20260814, n=10, scenario=Scenario.ONE_SAMPLE_T),
+    ])
+    def test_ks_matches_scalar_loop(self, cfg):
+        # the KS pass as a loop of scalar cdf calls, on the criterion-7 draws
+        _, f_null, p1, p2 = _nested_statistics(cfg)
+        law = beta_params(0.5 * p2, 0.5 * (cfg.n - p1 - p2))
+        ordered = np.sort(p2 * f_null / (cfg.n - p1))
+        m, ks = ordered.size, 0.0
+        for i, x in enumerate(ordered):
+            f = cdf(law, float(x))
+            ks = max(ks, (i + 1) / m - f, f - i / m)
+        assert abs(simulate_size_power(cfg).ks_statistic - ks) <= 1e-15
 
     def test_no_ks_for_proportion(self):
         cfg = SimConfig(replicates=100, seed=1, n=10, scenario=Scenario.PROPORTION)

@@ -8,6 +8,7 @@ identities (symmetry, complement, cross-family) checked as properties.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +19,10 @@ from nullform.errors import DomainError
 from nullform.specfun import (
     DistParams,
     Family,
+    _reg_inc_beta_array,
     beta_params,
     cdf,
+    cdf_array,
     chi_square,
     fisher_f,
     log_beta,
@@ -129,6 +132,78 @@ class TestRegIncBeta:
         assert reg_inc_beta(y, a, b) + reg_inc_beta(x, b, a) == pytest.approx(
             1.0, abs=1e-12
         )
+
+
+class TestArrayPath:
+    """The array kernel against the scalar code it batches.
+
+    Both take each element through the same branch and continued fraction;
+    they differ only where numpy's log, log1p and exp round differently from
+    the math module's (a few percent of inputs, by one ulp).  That ulp is
+    multiplied by the exponent a log x + b log1p(-x) - log B(a, b) of the
+    front factor, so the tolerance is 1e-13 relative or, for shapes in the
+    hundreds, twice that exponent's own rounding scale.
+    """
+
+    @settings(max_examples=300)
+    @given(
+        a=st.floats(min_value=0.5, max_value=500.0),
+        b=st.floats(min_value=0.5, max_value=500.0),
+        offsets=st.lists(st.floats(min_value=-0.5, max_value=0.5), min_size=1, max_size=20),
+    )
+    def test_matches_scalar_on_both_sides_of_the_crossover(self, a, b, offsets):
+        cross = (a + 1.0) / (a + b + 2.0)
+        xs = [0.0, 1.0, cross, math.nextafter(cross, 0.0)]
+        xs += [min(max(cross + o, 0.0), 1.0) for o in offsets]
+        got = _reg_inc_beta_array(np.array(xs), a, b)
+        for x, g in zip(xs, got):
+            want = reg_inc_beta(x, a, b)
+            if x in (0.0, 1.0):
+                assert g == want
+                continue
+            exponent = a * abs(math.log(x)) + b * abs(math.log1p(-x)) + abs(log_beta(a, b))
+            rel = max(1e-13, 2.0 * exponent * 2.0**-52)
+            assert g == pytest.approx(want, rel=rel, abs=0.0)
+
+    def test_rejects_bad_args(self):
+        with pytest.raises(DomainError):
+            _reg_inc_beta_array(np.array([0.5, 1.1]), 1.0, 1.0)
+        with pytest.raises(DomainError):
+            _reg_inc_beta_array(np.array([0.5, math.nan]), 1.0, 1.0)
+        with pytest.raises(DomainError):
+            _reg_inc_beta_array(np.array([0.5]), 0.0, 1.0)
+
+    @pytest.mark.parametrize("dist", [
+        student_t(1.0), student_t(3.0), student_t(0.7), student_t(250.0),
+        fisher_f(1.0, 5.0), fisher_f(2.0, 16.0), fisher_f(30.0, 0.8),
+        beta_params(0.5, 4.5), beta_params(1.0, 8.0), beta_params(40.0, 2.0),
+    ])
+    def test_cdf_array_matches_cdf(self, dist):
+        special = [0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 1e-300, 2.0, 1e300, -1e300]
+        grid = np.linspace(-6.0, 6.0, 97).tolist()
+        xs = special + grid + [v * v for v in grid]
+        got = cdf_array(dist, np.array(xs))
+        for x, g in zip(xs, got):
+            want = cdf(dist, x)
+            if x in special:
+                assert g == want, x
+            else:
+                assert g == pytest.approx(want, rel=1e-13, abs=0.0), x
+
+    def test_cdf_array_keeps_shape_and_empty_input(self):
+        got = cdf_array(student_t(4.0), np.array([[0.0, 1.0], [-1.0, math.inf]]))
+        assert got.shape == (2, 2)
+        assert got[0, 0] == 0.5 and got[1, 1] == 1.0
+        assert cdf_array(fisher_f(2.0, 3.0), np.array([])).size == 0
+
+    def test_cdf_array_rejects_nan_and_chi_square(self):
+        for dist in (student_t(3.0), fisher_f(2.0, 3.0), beta_params(2.0, 3.0)):
+            with pytest.raises(DomainError):
+                cdf_array(dist, np.array([0.5, math.nan]))
+        with pytest.raises(DomainError):
+            cdf_array(chi_square(3.0), np.array([1.0]))
+        with pytest.raises(DomainError):
+            cdf_array(fisher_f(2.0, -1.0), np.array([1.0]))
 
 
 class TestRegIncGammaLower:
@@ -364,6 +439,13 @@ class TestNormalHelpers:
             assert two_sided_normal_p(z) == pytest.approx(expect, abs=1e-13)
         assert two_sided_normal_p(-1.5) == pytest.approx(two_sided_normal_p(1.5), abs=0)
         assert two_sided_normal_p(math.inf) == 0.0
+
+    @pytest.mark.parametrize("z", [8.0, 10.0, 20.0])
+    def test_upper_tails_against_scipy(self, z):
+        # read off the continued fraction for Q(1/2, z^2/2), not 1 - P
+        assert std_normal_cdf(-z) == pytest.approx(float(sst.norm.cdf(-z)), rel=1e-12)
+        assert two_sided_normal_p(z) == pytest.approx(2.0 * float(sst.norm.sf(z)), rel=1e-12)
+        assert two_sided_normal_p(-z) == two_sided_normal_p(z)
 
     def test_critical_values(self):
         assert normal_critical(0.05) == pytest.approx(1.959963984540054, abs=1e-9)
