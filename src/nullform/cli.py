@@ -76,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, with_input=True)
     p.add_argument("--mu0", type=float, required=True, help="hypothesized mean")
     p.add_argument("--column", default=None,
-                   help="response column (default: first ingested column)")
+                   help="response column (default: the first column; leaving it "
+                        "out ingests every column)")
 
     p = sub.add_parser("proptest", help="one-sample proportion test, both forms")
     add_common(p, with_input=False)
@@ -100,7 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, with_input=True)
     p.add_argument("--response", required=True)
     p.add_argument("--predictors", default="",
-                   help="comma-separated predictor columns (default: all others)")
+                   help="comma-separated predictor columns (default: all others; "
+                        "leaving it out ingests every column)")
     p.add_argument("--no-intercept", action="store_true",
                    help="do not prepend a constant column")
 
@@ -119,7 +121,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="residual diagnostic panels as SVG")
     add_common(p, with_input=True)
     p.add_argument("--response", required=True)
-    p.add_argument("--predictors", default="")
+    p.add_argument("--predictors", default="",
+                   help="comma-separated predictor columns (default: all others; "
+                        "leaving it out ingests every column)")
     p.add_argument("--no-intercept", action="store_true")
     p.add_argument("--out", required=True, help="output SVG path")
 
@@ -130,13 +134,20 @@ def _split_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _load_dataset(args: argparse.Namespace, columns: tuple[str, ...] = ()) -> Dataset:
+def _load_dataset(args: argparse.Namespace, used: tuple[str, ...] = ()) -> Dataset:
+    """Ingest the columns a command uses plus any --log-columns, so a blank in
+    another column drops no row; empty `used` ingests every column."""
+    log_columns = tuple(_split_list(args.log_columns))
+    columns: tuple[str, ...] = ()
+    if used:
+        wanted = (*used, *log_columns)
+        columns = tuple(dict.fromkeys(n for n in wanted if n != args.label_column))
     return ingest_csv(
         args.input,
         delimiter=args.delimiter,
         header=not args.no_header,
         columns=columns,
-        log_columns=tuple(_split_list(args.log_columns)),
+        log_columns=log_columns,
         label_column=args.label_column,
     )
 
@@ -165,7 +176,7 @@ def _design_from(
 
 def _cmd_ttest(args, argv) -> AnalysisReport:
     alpha = _check_alpha(args.alpha)
-    dataset = _load_dataset(args)
+    dataset = _load_dataset(args, (args.column,) if args.column else ())
     column = args.column or dataset.column_names[0]
     sample = Sample.from_iterable(dataset.column(column))
     res = t_test(sample, args.mu0)
@@ -231,7 +242,7 @@ def _cmd_ftest(args, argv) -> AnalysisReport:
             "--reduced-cols must be a prefix of --full-cols "
             f"(got {reduced_names} vs {full_names})"
         )
-    dataset = _load_dataset(args)
+    dataset = _load_dataset(args, (args.response, *full_names))
     design = _design_from(dataset, full_names, args.intercept)
     p1 = len(reduced_names) + (1 if args.intercept else 0)
     spec = NestedSpec(design, p1=p1)
@@ -262,8 +273,9 @@ def _cmd_ftest(args, argv) -> AnalysisReport:
 def _diagnostics_payload(args, alpha: float):
     """Shared by outliers and plot: dataset, design, table, row labels and the
     labels of the rows that test as outliers at level alpha."""
-    dataset = _load_dataset(args)
     predictor_names = _split_list(args.predictors)
+    used = (args.response, *predictor_names) if predictor_names else ()
+    dataset = _load_dataset(args, used)
     if not predictor_names:
         predictor_names = [n for n in dataset.column_names if n != args.response]
     design = _design_from(dataset, predictor_names, not args.no_intercept)

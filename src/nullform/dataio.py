@@ -1,9 +1,17 @@
 """CSV ingestion into rectangular numeric datasets.
 
-Rows containing missing, non-numeric, or non-finite cells are dropped and
-counted rather than erroring; a requested natural-log transform of a
+Only the requested columns are parsed (all but the label column when none
+are named), so a row is dropped, and counted rather than erroring, only for
+a missing, non-numeric or non-finite cell in one of them, or for being
+shorter than the header.  A requested natural-log transform of a
 non-positive value is an error naming the row and column, because silently
-dropping those would bias the case being studied.
+dropping those would bias the case being studied.  A UTF-8 byte order mark
+is not part of the first header name.
+
+Parsing is column-wise: each kept column is converted with one float() pass
+and screened with one fsum; only a column that fails the screen is parsed
+cell by cell, and its unusable cells drop their rows.  Both routes accept
+the same cells, because float() succeeds only where the stripped cell parses.
 """
 
 from __future__ import annotations
@@ -12,6 +20,8 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import and_
 from pathlib import Path
 from typing import Sequence
 
@@ -54,6 +64,24 @@ def _parse_cell(cell: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _parse_column(cells: Sequence[str]) -> tuple[list, list[bool] | None]:
+    """One column's values and a usable-cell mask, or None when all are usable.
+
+    A clean column costs one float() pass and one fsum screen.  A column that
+    raises (a blank or non-numeric cell, inf + -inf, or finite values whose
+    sum overflows) or sums to a non-finite value is parsed cell by cell, and
+    its unusable cells become None.
+    """
+    try:
+        values = list(map(float, cells))
+        if math.isfinite(math.fsum(values)):
+            return values, None
+    except (ValueError, OverflowError):
+        pass
+    values = [_parse_cell(cell) for cell in cells]
+    return values, [v is not None for v in values]
+
+
 def ingest_csv(
     path: str | Path,
     delimiter: str = ",",
@@ -67,15 +95,16 @@ def ingest_csv(
     With header=False columns are named col0, col1, ...  `columns` restricts
     (and orders) which numeric columns are kept; empty means all except the
     label column.  `log_columns` natural-log transforms the named columns
-    after ingestion.  Rows with unusable numeric cells are dropped and
-    counted in `dropped_rows`; row numbers in error messages count data rows
-    from 1.  The file is read once, and `digest` is the sha256 of the bytes
-    parsed.  Bytes that are not UTF-8 and duplicate header names are errors.
+    after ingestion.  Rows with an unusable cell in a kept column are dropped
+    and counted in `dropped_rows`; row numbers in error messages count data
+    rows from 1.  The file is read once, and `digest` is the sha256 of the
+    raw bytes, a leading byte order mark included.  Bytes that are not UTF-8
+    and duplicate header names are errors.
     """
     path = Path(path)
     try:
         data = path.read_bytes()
-        raw_lines = data.decode("utf-8").splitlines()
+        raw_lines = data.decode("utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
@@ -105,48 +134,52 @@ def ingest_csv(
                 f"log-transform column {name!r} is not among the ingested columns {keep}"
             )
 
-    keep_idx = [names.index(n) for n in keep]
-    label_idx = names.index(label_column) if label_column is not None else None
-
-    parsed: list[tuple[float, ...]] = []
-    row_numbers: list[int] = []
-    labels: list[str] = []
-    dropped = 0
-    for rownum, row in enumerate(data_rows, start=1):
-        if len(row) < len(names):
-            dropped += 1
-            continue
-        values = [_parse_cell(row[i]) for i in keep_idx]
-        if any(v is None for v in values):
-            dropped += 1
-            continue
-        parsed.append(tuple(v for v in values if v is not None))
-        row_numbers.append(rownum)
-        if label_idx is not None:
-            labels.append(row[label_idx].strip())
-
-    if not parsed:
+    width = len(names)
+    full_rows = [row for row in data_rows if len(row) >= width]
+    if not full_rows:
         raise DataError(f"{path} has no usable data rows")
+    cells = list(zip(*full_rows))
 
-    table = [list(col) for col in zip(*parsed)]
+    parsed: dict[str, list] = {}
+    mask: list[bool] | None = None
+    for name in keep:
+        if name not in parsed:
+            parsed[name], usable = _parse_column(cells[names.index(name)])
+            if usable is not None:
+                mask = usable if mask is None else list(map(and_, mask, usable))
+
+    def kept(seq) -> list:
+        return list(seq) if mask is None else list(compress(seq, mask))
+
+    n_rows = len(full_rows) if mask is None else sum(mask)
+    if not n_rows:
+        raise DataError(f"{path} has no usable data rows")
+    table = [kept(parsed[name]) for name in keep]
     for name in log_columns:
         j = keep.index(name)
-        for i, v in enumerate(table[j]):
-            if v <= 0.0:
-                raise DataError(
-                    f"cannot log-transform non-positive value {v!r} "
-                    f"at row {row_numbers[i]}, column {name!r}"
-                )
-            table[j][i] = math.log(v)
+        bad = next((i for i, v in enumerate(table[j]) if v <= 0.0), None)
+        if bad is not None:
+            row_numbers = kept(
+                k for k, row in enumerate(data_rows, start=1) if len(row) >= width
+            )
+            raise DataError(
+                f"cannot log-transform non-positive value {table[j][bad]!r} "
+                f"at row {row_numbers[bad]}, column {name!r}"
+            )
+        table[j] = list(map(math.log, table[j]))
+
+    labels = None
+    if label_column is not None:
+        labels = tuple(kept(map(str.strip, cells[names.index(label_column)])))
 
     return Dataset(
         column_names=tuple(keep),
-        columns=tuple(tuple(col) for col in table),
+        columns=tuple(map(tuple, table)),
         source=str(path),
-        n_rows=len(parsed),
-        dropped_rows=dropped,
+        n_rows=n_rows,
+        dropped_rows=len(data_rows) - n_rows,
         digest=hashlib.sha256(data).hexdigest(),
-        row_labels=tuple(labels) if label_idx is not None else None,
+        row_labels=labels,
     )
 
 

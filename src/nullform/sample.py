@@ -18,13 +18,21 @@ class Sample:
     def __post_init__(self):
         if len(self.values) == 0:
             raise DomainError("a sample needs at least one observation")
+        # a finite fsum clears every value at once; inf + -inf raises
+        # ValueError and finite values can overflow the sum, so only then,
+        # or on a non-finite sum, look for the offending observation
+        try:
+            if math.isfinite(math.fsum(self.values)):
+                return
+        except (ValueError, OverflowError):
+            pass
         for i, v in enumerate(self.values):
             if not math.isfinite(v):
                 raise DomainError(f"observation {i + 1} is not finite: {v!r}")
 
     @classmethod
     def from_iterable(cls, values: Iterable[float]) -> "Sample":
-        return cls(tuple(float(v) for v in values))
+        return cls(tuple(map(float, values)))
 
     @property
     def n(self) -> int:

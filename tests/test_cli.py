@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from nullform import cli as cli_module
 from nullform.cli import run_command
 from nullform.report import AnalysisReport
 
@@ -211,6 +212,75 @@ def test_dropped_row_warning(capsys, tmp_path):
     payload = run_json(capsys, ["ttest", "--input", str(path), "--mu0", "0"])
     assert payload["warnings"] == ["dropped 1 row(s) with unusable cells"]
     assert payload["results"]["n"] == 3
+
+
+REG_ROWS = [("a", 1.1, 0.2), ("b", 1.8, 1.1), ("c", 3.1, 2.0), ("d", 9.0, 2.9),
+            ("e", 4.9, 4.1), ("f", 6.2, 5.0), ("g", 7.1, 6.2)]
+
+
+def reg_with_z(tmp_path, z_cells):
+    """reg_csv plus a column z that no command below uses."""
+    path = tmp_path / "reg_z.csv"
+    lines = ["name,y,x1,z"]
+    lines += [f"{name},{y},{x},{z}" for (name, y, x), z in zip(REG_ROWS, z_cells)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def used_column_commands(path, out):
+    common = ["--input", path, "--label-column", "name"]
+    return {
+        "ttest": ["ttest", *common, "--column", "y", "--mu0", "4"],
+        "ftest": ["ftest", *common, "--response", "y", "--full-cols", "x1", "--intercept"],
+        "outliers": ["outliers", *common, "--response", "y", "--predictors", "x1"],
+        "plot": ["plot", *common, "--response", "y", "--predictors", "x1", "--out", out],
+    }
+
+
+@pytest.mark.parametrize("command", ["ttest", "ftest", "outliers", "plot"])
+def test_blank_in_unused_column_drops_no_row(capsys, tmp_path, command):
+    path = reg_with_z(tmp_path, ["1", "", "3", "abc", "5", "nan", "7"])
+    payload = run_json(capsys, used_column_commands(path, str(tmp_path / "p.svg"))[command])
+    assert payload["results"]["n"] == 7
+    assert payload["warnings"] == []
+
+
+def test_bom_file(capsys, tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfy,x\n1,1\n2,1\n4,1\n")
+    payload = run_json(capsys, ["ttest", "--input", str(path), "--column", "y", "--mu0", "0"])
+    assert payload["results"]["n"] == 3
+
+
+def test_log_column_outside_the_used_columns(capsys, tmp_path):
+    argv = ["ttest", "--column", "y", "--mu0", "4", "--label-column", "name",
+            "--log-columns", "z", "--input"]
+    payload = run_json(capsys, [*argv, reg_with_z(tmp_path, ["1", "2", "", "4", "5", "6", "7"])])
+    # z is ingested for its transform, so its blank still drops its row
+    assert payload["results"]["n"] == 6
+    assert run_command([*argv, reg_with_z(tmp_path, ["1", "2", "3", "-4", "5", "6", "7"])]) == 3
+    assert "non-positive value -4.0 at row 4, column 'z'" in capsys.readouterr().err
+
+
+def test_used_column_ingest_matches_every_column_ingest(capsys, tmp_path, monkeypatch):
+    """On a file without unusable cells, ingesting only the used columns
+    changes no output byte against ingesting every column."""
+    path = reg_with_z(tmp_path, ["1", "2", "3", "4", "5", "6", "7"])
+    out = tmp_path / "p.svg"
+
+    def outputs():
+        texts = []
+        for argv in used_column_commands(path, str(out)).values():
+            assert run_command([*argv, "--json"]) == 0
+            texts.append(capsys.readouterr().out)
+        return texts, out.read_bytes()
+
+    used = outputs()
+    every = cli_module.ingest_csv
+    monkeypatch.setattr(
+        cli_module, "ingest_csv", lambda *a, **kw: every(*a, **{**kw, "columns": ()})
+    )
+    assert outputs() == used
 
 
 def test_exit_code_usage():

@@ -1,9 +1,12 @@
 """CSV ingestion and provenance digests."""
 
+import csv
 import hashlib
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nullform.dataio import Dataset, file_digest, ingest_csv
 from nullform.errors import DataError
@@ -136,3 +139,157 @@ def test_dataset_is_frozen(tmp_path):
     ds = ingest_csv(write(tmp_path, "y\n1\n"))
     with pytest.raises(AttributeError):
         ds.n_rows = 5  # type: ignore[misc]
+
+
+def test_bom_is_not_part_of_the_header(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfy,x\n1,2\n3,4\n")
+    ds = ingest_csv(path)
+    assert ds.column_names == ("y", "x")
+    assert ds.column("y") == (1.0, 3.0)
+    assert ds.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_huge_finite_values_are_kept(tmp_path):
+    # the y sum overflows, but every y cell is finite and usable
+    path = write(tmp_path, "y,x\n1e308,inf\n1.5e308,-inf\n-1e308,1\n1e308,2\n")
+    assert ingest_csv(path, columns=("y",)).column("y") == (1e308, 1.5e308, -1e308, 1e308)
+    ds = ingest_csv(path)
+    assert ds.column("y") == (-1e308, 1e308)
+    assert ds.column("x") == (1.0, 2.0)
+    assert ds.dropped_rows == 2
+
+
+def per_cell(cell):
+    text = cell.strip()
+    if not text:
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def per_row_ingest(path, delimiter=",", header=True, columns=(), log_columns=(),
+                   label_column=None):
+    """The per-row, per-cell ingest loop, kept as the oracle of the column pass."""
+    data = path.read_bytes()
+    rows = [row for row in csv.reader(data.decode("utf-8-sig").splitlines(),
+                                      delimiter=delimiter) if row]
+    if not rows:
+        raise DataError(f"{path} contains no rows")
+    if header:
+        names = [name.strip() for name in rows[0]]
+        data_rows = rows[1:]
+        if len(set(names)) < len(names):
+            raise DataError(f"duplicate column names in the header of {path}: {names}")
+    else:
+        names = [f"col{i}" for i in range(len(rows[0]))]
+        data_rows = rows
+    if label_column is not None and label_column not in names:
+        raise DataError(f"label column {label_column!r} not found in {names}")
+    keep = list(columns) if columns else [n for n in names if n != label_column]
+    for name in keep:
+        if name not in names:
+            raise DataError(f"requested column {name!r} not found in {names}")
+    for name in log_columns:
+        if name not in keep:
+            raise DataError(
+                f"log-transform column {name!r} is not among the ingested columns {keep}"
+            )
+    keep_idx = [names.index(n) for n in keep]
+    label_idx = names.index(label_column) if label_column is not None else None
+    parsed, row_numbers, labels, dropped = [], [], [], 0
+    for rownum, row in enumerate(data_rows, start=1):
+        if len(row) < len(names):
+            dropped += 1
+            continue
+        values = [per_cell(row[i]) for i in keep_idx]
+        if any(v is None for v in values):
+            dropped += 1
+            continue
+        parsed.append(values)
+        row_numbers.append(rownum)
+        if label_idx is not None:
+            labels.append(row[label_idx].strip())
+    if not parsed:
+        raise DataError(f"{path} has no usable data rows")
+    table = [list(col) for col in zip(*parsed)]
+    for name in log_columns:
+        j = keep.index(name)
+        for i, v in enumerate(table[j]):
+            if v <= 0.0:
+                raise DataError(
+                    f"cannot log-transform non-positive value {v!r} "
+                    f"at row {row_numbers[i]}, column {name!r}"
+                )
+            table[j][i] = math.log(v)
+    return Dataset(
+        column_names=tuple(keep), columns=tuple(tuple(c) for c in table),
+        source=str(path), n_rows=len(parsed), dropped_rows=dropped,
+        digest=hashlib.sha256(data).hexdigest(),
+        row_labels=tuple(labels) if label_idx is not None else None,
+    )
+
+
+NAMES = ("a", "b", "c", "d")
+# cells each column kind draws from; "\x1f" is stripped by str.strip() but
+# not by float(), so it must reach the per-cell fallback
+CELLS = {
+    "clean": ["1", "-2.5", "0", "3e-7", " 4 ", "\t5", "6\x1f", "1_0", "-0.0", "0.5"],
+    "messy": ["", " ", "nan", "abc", "1,5", "inf", "1e400", '"8"', "7", "-9.5", "1e-3"],
+    "infinite": ["inf", "-inf", "2", "-3", "4.5", "6"],
+    "huge": ["1e308", "1.7e308", "-1e308", "1e300"],
+}
+
+
+@st.composite
+def csv_cases(draw):
+    width = draw(st.integers(1, len(NAMES)))
+    names = list(NAMES[:width])
+    kinds = [draw(st.sampled_from(sorted(CELLS))) for _ in names]
+    rows = []
+    for _ in range(draw(st.integers(0, 15))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            rows.append(None)  # a blank line
+            continue
+        length = width + draw(st.sampled_from([0, 0, 0, 1, -1, -2]))
+        pools = kinds + ["messy"]
+        rows.append([draw(st.sampled_from(CELLS[pools[min(j, width)]])) for j in range(length)])
+    header = draw(st.booleans())
+    col_names = names if header else [f"col{i}" for i in range(width)]
+    label = draw(st.sampled_from([None, *col_names]))
+    columns = draw(st.lists(st.sampled_from(col_names), max_size=width, unique=True))
+    pool = columns or [n for n in col_names if n != label]
+    logs = draw(st.lists(st.sampled_from(pool), max_size=1)) if pool else []
+
+    def render(cell):
+        if "," in cell or '"' in cell or draw(st.booleans()) and draw(st.booleans()):
+            return '"' + cell.replace('"', '""') + '"'
+        return cell
+
+    lines = [",".join(names)] if header else []
+    lines += ["" if row is None else ",".join(map(render, row)) for row in rows]
+    text = ("\ufeff" if draw(st.booleans()) else "") + "\n".join(lines) + "\n"
+    return text, dict(header=header, columns=tuple(columns), log_columns=tuple(logs),
+                      label_column=label)
+
+
+def _outcome(fn, path, kwargs):
+    try:
+        ds = fn(path, **kwargs)
+    except DataError as exc:
+        return "error", str(exc)
+    return (ds.column_names, [list(map(repr, col)) for col in ds.columns],
+            ds.row_labels, ds.n_rows, ds.dropped_rows, ds.digest)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=csv_cases())
+def test_column_pass_matches_per_row_loop(tmp_path, case):
+    text, kwargs = case
+    path = tmp_path / "case.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(ingest_csv, path, kwargs) == _outcome(per_row_ingest, path, kwargs)

@@ -99,6 +99,25 @@ class TestDegenerateAndBoundary:
             t_test(Sample.from_iterable([1.0]), 0.0)
 
 
+class TestSample:
+    @pytest.mark.parametrize("values, message", [
+        ([1.0, math.inf, 2.0], "observation 2 is not finite: inf"),
+        ([1.0, -math.inf, math.inf], "observation 2 is not finite: -inf"),
+        ([math.nan, 1.0], "observation 1 is not finite: nan"),
+        ([1e308, 1e308, math.inf], "observation 3 is not finite: inf"),
+    ])
+    def test_non_finite_observation_is_named(self, values, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            Sample.from_iterable(values)
+
+    def test_huge_finite_values_whose_sum_overflows(self):
+        assert Sample.from_iterable(["1e308", 1.7e308, -1e308]).values == (1e308, 1.7e308, -1e308)
+
+    def test_empty(self):
+        with pytest.raises(DomainError, match="at least one observation"):
+            Sample.from_iterable([])
+
+
 class TestMaps:
     def test_zero_fixed_point(self):
         assert map_t0_to_t(0.0, 7) == 0.0
@@ -149,12 +168,14 @@ class TestMaps:
         u2=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
     )
     def test_strictly_increasing(self, n, u1, u2):
-        assume(u1 != u2)
-        lo, hi = sorted([u1, u2])
         root = math.sqrt(n)
-        assert map_t0_to_t(root * (2.0 * lo - 1.0), n) < map_t0_to_t(
-            root * (2.0 * hi - 1.0), n
-        )
+        lo, hi = sorted([root * (2.0 * u1 - 1.0), root * (2.0 * u2 - 1.0)])
+        # Strictness is a claim about distinct t0 that the map's rounding
+        # resolves. 2u - 1 can round neighbouring u to one t0, and where the
+        # map's slope is below 1 neighbouring t0 can round to one t; its
+        # relative rounding error stays under 1e-10 for |2u - 1| <= 1 - 2e-6.
+        assume(hi - lo > 1e-9 * max(abs(lo), abs(hi)))
+        assert map_t0_to_t(lo, n) < map_t0_to_t(hi, n)
 
 
 class TestLrtRatio:
