@@ -19,7 +19,7 @@ import sys
 
 # file_digest stays bound here unused: nullbench/tracing.py wraps it
 from .dataio import Dataset, file_digest, ingest_csv
-from .diagnostics import residual_diagnostics, residual_gaps
+from .diagnostics import is_outlier, residual_diagnostics, residual_gaps
 from .errors import DataError, DomainError, NullformError, NumericError
 # fit and f_geometry stay bound here unused: nullbench/tracing.py wraps them
 from .linmodel import DesignMatrix, FGeometry, NestedSpec, f_geometry, fit, nested_f_test
@@ -164,7 +164,7 @@ def _design_from(
     columns: list[tuple[float, ...]] = []
     labels: list[str] = []
     if intercept:
-        columns.append(tuple(1.0 for _ in range(dataset.n_rows)))
+        columns.append((1.0,) * dataset.n_rows)
         labels.append("const")
     for name in predictor_names:
         columns.append(dataset.column(name))
@@ -178,7 +178,7 @@ def _cmd_ttest(args, argv) -> AnalysisReport:
     alpha = _check_alpha(args.alpha)
     dataset = _load_dataset(args, (args.column,) if args.column else ())
     column = args.column or dataset.column_names[0]
-    sample = Sample.from_iterable(dataset.column(column))
+    sample = Sample(dataset.column(column))
     res = t_test(sample, args.mu0)
     results = {
         "n": sample.n, "column": column, "mean": res.mean, "mu0": res.mu0,
@@ -246,7 +246,7 @@ def _cmd_ftest(args, argv) -> AnalysisReport:
     design = _design_from(dataset, full_names, args.intercept)
     p1 = len(reduced_names) + (1 if args.intercept else 0)
     spec = NestedSpec(design, p1=p1)
-    y = Sample.from_iterable(dataset.column(args.response))
+    y = Sample(dataset.column(args.response))
     res = nested_f_test(spec, y)
     geo = FGeometry.from_result(res)
     n, rp1, p2 = res.dims
@@ -279,12 +279,9 @@ def _diagnostics_payload(args, alpha: float):
     if not predictor_names:
         predictor_names = [n for n in dataset.column_names if n != args.response]
     design = _design_from(dataset, predictor_names, not args.no_intercept)
-    table = residual_diagnostics(design, Sample.from_iterable(dataset.column(args.response)))
+    table = residual_diagnostics(design, Sample(dataset.column(args.response)))
     labels = dataset.row_labels or tuple(str(i) for i in range(table.n))
-    outliers = [
-        labels[row.index] for row in table.rows
-        if not row.flagged and row.outlier_p_value <= alpha
-    ]
+    outliers = [labels[row.index] for row in table.rows if is_outlier(row, alpha)]
     return dataset, design, table, labels, outliers
 
 

@@ -18,6 +18,10 @@ SS_{2|1,i} > SSE / 2 the subtraction would cancel, so SSE_12,i is summed
 directly from the augmented residuals e_j + h_ji e_i / (1 - h_i), j != i,
 with h_ji = Q_j . Q_i, losing at most one bit.
 
+Each column of the table is one array whose row states (tested, untested,
+flagged) are set by masks, and the rows are zipped from those columns.
+`is_outlier` is the one outlier rule, shared by the CLI report and the plot.
+
 The per-row augmented nested F-test and the leave-one-out formula
 t_i = e_i / sqrt(s_(i)^2 (1 - h_i)) are independent oracles in the tests.
 """
@@ -43,6 +47,7 @@ __all__ = [
     "residual_diagnostics",
     "map_standardized_to_studentized",
     "residual_gaps",
+    "is_outlier",
 ]
 
 # a hat diagonal this close to 1 means the observation determines its own
@@ -138,26 +143,11 @@ def residual_diagnostics(x: DesignMatrix, y: Sample) -> DiagnosticsTable:
 
     p_out = np.ones(n)
     p_out[tested] = 2.0 * cdf_array(student_t(float(n - p - 1)), -np.abs(t[tested]))
-    rows = []
-    cells = zip(h.tolist(), e.tolist(), r.tolist(), t.tolist(), p_out.tolist(),
-                flagged.tolist(), tested.tolist())
-    for i, (h_i, e_i, r_i, t_i, p_i, flag_i, test_i) in enumerate(cells):
-        if flag_i:
-            r_i = t_i = p_i = bonf = gap = math.nan
-        elif not test_i:
-            r_i = t_i = gap = 0.0
-            bonf = 1.0
-        else:
-            bonf = min(1.0, n * p_i)
-            gap = abs(t_i - r_i)
-        rows.append(
-            DiagnosticsRow(
-                index=i, leverage=h_i, raw_residual=e_i,
-                standardized=r_i, studentized=t_i,
-                outlier_p_value=p_i, bonferroni_p_value=bonf,
-                gap=gap, flagged=flag_i,
-            )
-        )
+    # untested rows read r = t = gap = 0 and Bonferroni 1; flagged rows NaN
+    r, t = np.where(tested, r, 0.0), np.where(tested, t, 0.0)
+    columns = (r, t, p_out, np.minimum(1.0, n * p_out), np.abs(t - r))
+    masked = (np.where(flagged, np.nan, c).tolist() for c in columns)
+    rows = map(DiagnosticsRow, range(n), h.tolist(), e.tolist(), *masked, flagged.tolist())
     return DiagnosticsTable(rows=tuple(rows), n=n, p=p, fitted=tuple(fitted.tolist()))
 
 
@@ -188,3 +178,8 @@ def residual_gaps(table: DiagnosticsTable) -> list[tuple[int, float]]:
     """
     pairs = [(row.index, row.gap) for row in table.rows if not row.flagged]
     return sorted(pairs, key=lambda item: (-item[1], item[0]))
+
+
+def is_outlier(row: DiagnosticsRow, alpha: float) -> bool:
+    """Outlier at level alpha: not flagged (a flagged row has no test), p <= alpha."""
+    return not row.flagged and row.outlier_p_value <= alpha

@@ -15,11 +15,11 @@ elements are emitted in row order.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from pathlib import Path
 from typing import Sequence
-from xml.sax.saxutils import escape
 
-from .diagnostics import DiagnosticsTable
+from .diagnostics import DiagnosticsTable, is_outlier
 from .errors import DomainError
 
 __all__ = ["emit_residual_plots"]
@@ -31,6 +31,11 @@ _TICKS = 10
 
 _POINT_STYLE = 'fill="#44709d"'
 _OUTLIER_STYLE = 'fill="#b83232"'
+
+
+def escape(text: str) -> str:
+    """xml.sax.saxutils.escape without entities: &, > and <; quotes stay."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(v: float) -> str:
@@ -160,7 +165,13 @@ def emit_residual_plots(
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
 
     rows = [r for r in table.rows if not r.flagged]
-    x_range = _axis_range([fitted[r.index] for r in rows])
+    xs = [fitted[r.index] for r in rows]
+    x_range = _axis_range(xs)
+    names = labels if labels is not None else [str(i) for i in range(table.n)]
+    # decided once for all four panels; a row with no finite x is drawn in none
+    x_finite = list(map(math.isfinite, xs))
+    marks = [(x, is_outlier(r, alpha), names[r.index]) for x, r in zip(xs, rows)]
+    marks = list(compress(marks, x_finite))
     series = [
         ("standardized residuals", [r.standardized for r in rows]),
         ("studentized residuals", [r.studentized for r in rows]),
@@ -179,14 +190,9 @@ def emit_residual_plots(
     for k, (title, ys) in enumerate(series):
         panel = _Panel(k % 2, k // 2, title, x_range, _axis_range(ys))
         parts.extend(panel.frame("fitted value", title))
-        for r, y in zip(rows, ys):
-            if not math.isfinite(y) or not math.isfinite(fitted[r.index]):
-                continue
-            is_outlier = (
-                math.isfinite(r.outlier_p_value) and r.outlier_p_value <= alpha
-            )
-            name = labels[r.index] if labels is not None else str(r.index)
-            parts.extend(panel.point(fitted[r.index], y, is_outlier, name))
+        for (x, outlier, name), y in zip(marks, compress(ys, x_finite)):
+            if math.isfinite(y):
+                parts.extend(panel.point(x, y, outlier, name))
     parts.append("</svg>")
     document = "\n".join(parts) + "\n"
 

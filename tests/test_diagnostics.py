@@ -1,7 +1,10 @@
 """Diagnostics: the 3-point hand example, the leave-one-out closed form and
-the per-row augmented nested F-test as independent oracles, decision
-equivalence across all four statistics, and the gap ranking."""
+the per-row augmented nested F-test as independent oracles, the per-row
+construction of the table as an oracle for the masked one, decision
+equivalence across all four statistics, the outlier rule, and the gap
+ranking."""
 
+import json
 import math
 
 import numpy as np
@@ -9,16 +12,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nullform.cli import run_command
 from nullform.diagnostics import (
+    _DIRECT_SSE12_FRAC,
+    _LEVERAGE_TOL,
+    _SSE_NEGLIGIBLE_RTOL,
+    DiagnosticsRow,
+    DiagnosticsTable,
+    is_outlier,
     leverage,
     map_standardized_to_studentized,
     residual_diagnostics,
     residual_gaps,
 )
 from nullform.errors import DomainError
-from nullform.linmodel import DesignMatrix, NestedSpec, fit, nested_f_test
+from nullform.linmodel import (
+    DesignMatrix,
+    NestedSpec,
+    _qr_with_rank_check,
+    fit,
+    nested_f_test,
+)
 from nullform.sample import Sample
-from nullform.specfun import cdf, fisher_f, quantile, student_t
+from nullform.specfun import cdf, cdf_array, fisher_f, quantile, student_t
 
 
 def loo_studentized(xarr, yarr):
@@ -46,6 +62,55 @@ def augmented_f_test(xarr, yarr, i):
     indicator[i] = 1.0
     spec = NestedSpec(DesignMatrix(np.column_stack([xarr, indicator])), p1=p)
     return nested_f_test(spec, Sample.from_iterable(yarr))
+
+
+def row_by_row_diagnostics(x, y):
+    """The table built one row at a time, one Python branch per row state,
+    used only as an oracle for the masked columns of residual_diagnostics."""
+    n, p = x.n_rows, x.n_cols
+    q, _ = _qr_with_rank_check(x)
+    yvec = np.asarray(y.values, dtype=np.float64)
+    fitted = q @ (q.T @ yvec)
+    e = yvec - fitted
+    sse = float(e @ e)
+    h = np.einsum("ij,ij->i", q, q)
+    tiny_sse = _SSE_NEGLIGIBLE_RTOL * float(yvec @ yvec)
+    flagged = h >= 1.0 - _LEVERAGE_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ss2given1 = e * e / (1.0 - h)
+        tested = ~flagged & (ss2given1 > tiny_sse) & (sse > tiny_sse)
+        sse12 = sse - ss2given1
+        for i in np.flatnonzero(tested & (ss2given1 > _DIRECT_SSE12_FRAC * sse)):
+            aug = e + (q @ q[i]) * (e[i] / (1.0 - h[i]))
+            aug[i] = 0.0
+            sse12[i] = aug @ aug
+        f_null = ss2given1 / (sse / (n - p))
+        f_trad = ss2given1 / (sse12 / (n - p - 1))
+        r = np.copysign(np.sqrt(f_null), e)
+        t = np.copysign(np.where(sse12 <= tiny_sse, np.inf, np.sqrt(f_trad)), e)
+    p_out = np.ones(n)
+    p_out[tested] = 2.0 * cdf_array(student_t(float(n - p - 1)), -np.abs(t[tested]))
+    rows = []
+    cells = zip(h.tolist(), e.tolist(), r.tolist(), t.tolist(), p_out.tolist(),
+                flagged.tolist(), tested.tolist())
+    for i, (h_i, e_i, r_i, t_i, p_i, flag_i, test_i) in enumerate(cells):
+        if flag_i:
+            r_i = t_i = p_i = bonf = gap = math.nan
+        elif not test_i:
+            r_i = t_i = gap = 0.0
+            bonf = 1.0
+        else:
+            bonf = min(1.0, n * p_i)
+            gap = abs(t_i - r_i)
+        rows.append(
+            DiagnosticsRow(
+                index=i, leverage=h_i, raw_residual=e_i,
+                standardized=r_i, studentized=t_i,
+                outlier_p_value=p_i, bonferroni_p_value=bonf,
+                gap=gap, flagged=flag_i,
+            )
+        )
+    return DiagnosticsTable(rows=tuple(rows), n=n, p=p, fitted=tuple(fitted.tolist()))
 
 
 def random_regression(rng, n, p):
@@ -245,6 +310,124 @@ class TestEdgeCases:
                 DesignMatrix([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]),
                 Sample.from_iterable([1.0, 2.0, 3.0]),
             )
+
+
+class TestRowStates:
+    """The masked columns against the row-by-row oracle, field by field."""
+
+    @staticmethod
+    def design(seed, n, p, unit_leverage, exact, spike, zero_row):
+        # unit_leverage appends a column that is 1 on row 0 only (a flagged
+        # row); exact leaves out the noise, so every row is untested, or a
+        # spike on row 2 saturates its t to +-inf; zero_row puts row 1 on the
+        # fit (untested); spike = 1e6 sends row 2 down the direct SSE_12 sum
+        rng = np.random.default_rng(seed)
+        xarr = rng.standard_normal((n, p))
+        xarr[:, 0] = 1.0
+        if unit_leverage:
+            xarr = np.column_stack([xarr, np.eye(n)[0]])
+        yarr = xarr @ rng.standard_normal(xarr.shape[1])
+        if not exact:
+            yarr = yarr + rng.standard_normal(n)
+        yarr[2] += spike
+        if zero_row:
+            others = np.arange(n) != 1
+            yarr[1] = xarr[1] @ np.linalg.lstsq(xarr[others], yarr[others], rcond=None)[0]
+        return DesignMatrix(xarr), Sample.from_iterable(yarr)
+
+    @staticmethod
+    def assert_same(x, y):
+        table = residual_diagnostics(x, y)
+        oracle = row_by_row_diagnostics(x, y)
+        assert (table.n, table.p, table.fitted) == (oracle.n, oracle.p, oracle.fitted)
+        assert list(map(repr, table.rows)) == list(map(repr, oracle.rows))
+        return table
+
+    @pytest.mark.parametrize(
+        "unit_leverage, exact, spike, zero_row, states",
+        [
+            (False, False, 0.0, False, {"tested"}),
+            (True, False, 40.0, False, {"flagged", "tested"}),
+            (False, False, 0.0, True, {"tested", "untested"}),
+            (False, True, 0.0, False, {"untested"}),
+            (True, True, 0.0, False, {"flagged", "untested"}),
+            (False, True, 6.0, False, {"saturated", "tested"}),
+            (True, True, -6.0, False, {"flagged", "saturated", "tested"}),
+            (False, False, 1e6, False, {"tested"}),
+        ],
+    )
+    def test_every_row_state(self, unit_leverage, exact, spike, zero_row, states):
+        x, y = self.design(3, 24, 3, unit_leverage, exact, spike, zero_row)
+        table = self.assert_same(x, y)
+        seen = set()
+        for row in table:
+            if row.flagged:
+                seen.add("flagged")
+            elif math.isinf(row.studentized):
+                seen.add("saturated")
+            elif row.standardized == 0.0 and row.outlier_p_value == 1.0:
+                seen.add("untested")
+            else:
+                seen.add("tested")
+        assert seen == states
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        n=st.integers(min_value=8, max_value=40),
+        p=st.integers(min_value=1, max_value=4),
+        unit_leverage=st.booleans(),
+        exact=st.booleans(),
+        spike=st.sampled_from([0.0, 6.0, -6.0, 1e6]),
+    )
+    def test_random_designs(self, seed, n, p, unit_leverage, exact, spike):
+        self.assert_same(*self.design(seed, n, p, unit_leverage, exact, spike, False))
+
+
+class TestOutlierRule:
+    """is_outlier against the two expressions it replaced: the report's
+    `not flagged and p <= alpha` and the plot's `isfinite(p) and p <= alpha`."""
+
+    @staticmethod
+    def assert_rule(table):
+        ps = sorted({r.outlier_p_value for r in table if math.isfinite(r.outlier_p_value)})
+        for alpha in (0.01, 0.05, 0.5, *ps[:3], *ps[-2:]):
+            for row in table:
+                p = row.outlier_p_value
+                assert is_outlier(row, alpha) is (not row.flagged and p <= alpha)
+                assert is_outlier(row, alpha) is (math.isfinite(p) and p <= alpha)
+
+    def test_table_from_residual_diagnostics(self):
+        x, y = TestRowStates.design(5, 30, 3, True, False, 6.0, False)
+        table = residual_diagnostics(x, y)
+        assert any(row.flagged for row in table)
+        assert any(is_outlier(row, 0.05) for row in table)
+        self.assert_rule(table)
+
+    def test_table_rebuilt_from_json_rows(self, capsys, tmp_path):
+        # column d is 1 on row "a" only, so that row is flagged and its
+        # residual fields print as null
+        path = tmp_path / "reg.csv"
+        path.write_text(
+            "name,y,x1,d\n"
+            "a,1.1,0.2,1\nb,1.8,1.1,0\nc,3.1,2.0,0\nd,9.0,2.9,0\n"
+            "e,4.9,4.1,0\nf,6.2,5.0,0\ng,7.1,6.2,0\nh,8.0,7.1,0\n",
+            encoding="utf-8",
+        )
+        argv = ["outliers", "--input", str(path), "--response", "y",
+                "--label-column", "name", "--json"]
+        assert run_command(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        table = DiagnosticsTable(tuple(
+            DiagnosticsRow(**{k: (math.nan if v is None else v)
+                              for k, v in row.items() if k != "label"})
+            for row in payload["diagnostics"]), n=payload["results"]["n"],
+            p=payload["results"]["p"])
+        assert table.rows[0].flagged and math.isnan(table.rows[0].outlier_p_value)
+        assert payload["results"]["outliers"] == [
+            label for label, row in zip("abcdefgh", table) if is_outlier(row, 0.05)
+        ] == ["d"]
+        self.assert_rule(table)
 
 
 class TestMap:

@@ -1,15 +1,24 @@
 """Deterministic SVG residual panels."""
 
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
+from xml.sax import saxutils
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from nullform.diagnostics import DiagnosticsTable, residual_diagnostics
 from nullform.errors import DomainError
 from nullform.linmodel import DesignMatrix, fit
 from nullform.sample import Sample
-from nullform.svgplot import emit_residual_plots
+from nullform.svgplot import emit_residual_plots, escape
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def make_table(values, design=None):
@@ -111,6 +120,19 @@ def test_nonfinite_studentized_points_are_skipped():
     ET.fromstring(doc)
 
 
+def test_nonfinite_fitted_points_are_skipped():
+    table, fitted = make_table([1.0, 2.0, 6.0, 3.0, 4.0])
+    fitted = list(fitted)
+    fitted[2] = math.inf
+    doc = emit_residual_plots(table, fitted, labels=list("abcde"), alpha=0.5)
+    assert "inf" not in doc and "nan" not in doc
+    circles, diamonds = expected_point_counts(table, fitted, 0.5)
+    assert doc.count("<circle") == circles
+    assert doc.count("<path") == diamonds
+    assert circles + diamonds == 4 * 4
+    ET.fromstring(doc)
+
+
 def test_flagged_rows_are_skipped_entirely():
     design = DesignMatrix.from_rows(
         [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
@@ -142,3 +164,22 @@ def test_validation_errors():
     empty = DiagnosticsTable(rows=(), n=0, p=0)
     with pytest.raises(DomainError, match="empty"):
         emit_residual_plots(empty, [])
+
+
+@given(st.text(alphabet="&<>\"';#ab", max_size=12))
+@example("a&b<c>d\"e'f")
+@example("&amp;&lt;")
+def test_escape_matches_saxutils(label):
+    assert escape(label) == saxutils.escape(label)
+
+
+def test_import_leaves_out_the_network_stack():
+    # xml.sax.saxutils would pull in urllib.request, http.client, ssl, email
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, nullform; "
+            "print(sorted({'http.client', 'urllib.request'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
