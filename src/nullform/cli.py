@@ -8,6 +8,12 @@ p-value routes.
 Exit codes: 0 success, 2 usage error, 3 data/input error, 4 numeric or
 domain error.  The default simulation seed comes from the NULLFORM_SEED
 environment variable when the flag is absent.
+
+Import rule: this module imports only the numpy-free modules (dataio,
+errors, proportion, report, sample, specfun, ttest).  linmodel, diagnostics,
+montecarlo and svgplot load numpy, so each command imports the ones it uses
+when it runs and calls their functions through the module: ttest and
+proptest never load numpy, and ftest loads neither montecarlo nor svgplot.
 """
 
 from __future__ import annotations
@@ -16,22 +22,19 @@ import argparse
 import math
 import os
 import sys
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-# file_digest stays bound here unused: nullbench/tracing.py wraps it
-from .dataio import Dataset, file_digest, ingest_csv
-from .diagnostics import is_outlier, residual_diagnostics, residual_gaps
+from .dataio import Dataset, ingest_csv
 from .errors import DataError, DomainError, NullformError, NumericError
-# fit and f_geometry stay bound here unused: nullbench/tracing.py wraps them
-from .linmodel import DesignMatrix, FGeometry, NestedSpec, f_geometry, fit, nested_f_test
-# null_law_check stays bound here unused: nullbench/tracing.py wraps it
-from .montecarlo import Scenario, SimConfig, null_law_check, simulate_size_power
 from .proportion import ProportionData, proportion_test
 from .report import AnalysisReport
 from .sample import Sample
 from .specfun import std_normal_cdf
-from .svgplot import emit_residual_plots
-# geometry stays bound here unused: nullbench/tracing.py wraps it
-from .ttest import Geometry, geometry, t_test
+from .ttest import Geometry, t_test
+
+if TYPE_CHECKING:
+    from .linmodel import DesignMatrix
 
 __all__ = ["run_command", "main"]
 
@@ -40,11 +43,37 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-_SCENARIOS = {
-    "t": Scenario.ONE_SAMPLE_T,
-    "f": Scenario.NESTED_F,
-    "proportion": Scenario.PROPORTION,
+# Names that nullbench/tracing.py reads and rebinds on this module, and the
+# module defining each.  Nothing here calls them: a binding read while the
+# defining module's copy was already wrapped would stay wrapped after
+# `uninstall`, so commands call the defining module's function instead.
+# ROADMAP item 5's tracer repair (skip a missing binding) deletes this table
+# and __getattr__.
+_TRACED_HOLDERS = {
+    "file_digest": "dataio",
+    "geometry": "ttest",
+    "fit": "linmodel",
+    "nested_f_test": "linmodel",
+    "f_geometry": "linmodel",
+    "residual_diagnostics": "diagnostics",
+    "residual_gaps": "diagnostics",
+    "simulate_size_power": "montecarlo",
+    "null_law_check": "montecarlo",
+    "emit_residual_plots": "svgplot",
 }
+
+
+def __getattr__(name: str):
+    module = _TRACED_HOLDERS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+# --scenario choice -> montecarlo.Scenario value
+_SCENARIOS = {"t": "one_sample_t", "f": "nested_f", "proportion": "proportion"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,6 +190,8 @@ def _check_alpha(alpha: float) -> float:
 def _design_from(
     dataset: Dataset, predictor_names: list[str], intercept: bool
 ) -> DesignMatrix:
+    from . import linmodel
+
     columns: list[tuple[float, ...]] = []
     labels: list[str] = []
     if intercept:
@@ -171,7 +202,7 @@ def _design_from(
         labels.append(name)
     if not columns:
         raise DomainError("the design needs at least one column")
-    return DesignMatrix.from_columns(columns, labels)
+    return linmodel.DesignMatrix.from_columns(columns, labels)
 
 
 def _cmd_ttest(args, argv) -> AnalysisReport:
@@ -234,6 +265,8 @@ def _cmd_proptest(args, argv) -> AnalysisReport:
 
 
 def _cmd_ftest(args, argv) -> AnalysisReport:
+    from . import linmodel
+
     alpha = _check_alpha(args.alpha)
     full_names = _split_list(args.full_cols)
     reduced_names = _split_list(args.reduced_cols)
@@ -245,10 +278,10 @@ def _cmd_ftest(args, argv) -> AnalysisReport:
     dataset = _load_dataset(args, (args.response, *full_names))
     design = _design_from(dataset, full_names, args.intercept)
     p1 = len(reduced_names) + (1 if args.intercept else 0)
-    spec = NestedSpec(design, p1=p1)
+    spec = linmodel.NestedSpec(design, p1=p1)
     y = Sample(dataset.column(args.response))
-    res = nested_f_test(spec, y)
-    geo = FGeometry.from_result(res)
+    res = linmodel.nested_f_test(spec, y)
+    geo = linmodel.FGeometry.from_result(res)
     n, rp1, p2 = res.dims
     results = {
         "response": args.response, "full_columns": design.labels,
@@ -273,19 +306,23 @@ def _cmd_ftest(args, argv) -> AnalysisReport:
 def _diagnostics_payload(args, alpha: float):
     """Shared by outliers and plot: dataset, design, table, row labels and the
     labels of the rows that test as outliers at level alpha."""
+    from . import diagnostics
+
     predictor_names = _split_list(args.predictors)
     used = (args.response, *predictor_names) if predictor_names else ()
     dataset = _load_dataset(args, used)
     if not predictor_names:
         predictor_names = [n for n in dataset.column_names if n != args.response]
     design = _design_from(dataset, predictor_names, not args.no_intercept)
-    table = residual_diagnostics(design, Sample(dataset.column(args.response)))
+    table = diagnostics.residual_diagnostics(design, Sample(dataset.column(args.response)))
     labels = dataset.row_labels or tuple(str(i) for i in range(table.n))
-    outliers = [labels[row.index] for row in table.rows if is_outlier(row, alpha)]
+    outliers = [labels[row.index] for row in table.rows if diagnostics.is_outlier(row, alpha)]
     return dataset, design, table, labels, outliers
 
 
 def _cmd_outliers(args, argv) -> AnalysisReport:
+    from . import diagnostics
+
     alpha = _check_alpha(args.alpha)
     dataset, design, table, labels, outliers = _diagnostics_payload(args, alpha)
     results = {
@@ -293,7 +330,7 @@ def _cmd_outliers(args, argv) -> AnalysisReport:
         "n": table.n, "p": table.p, "outlier_df": table.n - table.p - 1,
         "outliers": outliers,
         "gap_ranking": [
-            {"label": labels[i], "gap": g} for i, g in residual_gaps(table)
+            {"label": labels[i], "gap": g} for i, g in diagnostics.residual_gaps(table)
         ],
     }
     return AnalysisReport(
@@ -308,16 +345,18 @@ def _cmd_outliers(args, argv) -> AnalysisReport:
 
 
 def _cmd_simulate(args, argv) -> AnalysisReport:
+    from . import montecarlo
+
     alpha = _check_alpha(args.alpha)
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("NULLFORM_SEED", "0"))
-    scenario = _SCENARIOS[args.scenario]
-    cfg = SimConfig(
+    scenario = montecarlo.Scenario(_SCENARIOS[args.scenario])
+    cfg = montecarlo.SimConfig(
         replicates=args.replicates, seed=seed, n=args.n, scenario=scenario,
         effect=args.effect, alpha=alpha, p1=args.p1, p2=args.p2, p0=args.p0,
     )
-    res = simulate_size_power(cfg)
+    res = montecarlo.simulate_size_power(cfg)
     results = {
         "scenario": scenario.value, "replicates": cfg.replicates, "n": cfg.n,
         "effect": cfg.effect, "seed": seed,
@@ -325,9 +364,9 @@ def _cmd_simulate(args, argv) -> AnalysisReport:
         "reject_rate_null": res.reject_rate_null,
         "disagreements": res.disagreements,
     }
-    if scenario is Scenario.NESTED_F:
+    if scenario is montecarlo.Scenario.NESTED_F:
         results["p1"], results["p2"] = cfg.p1, cfg.p2
-    if scenario is Scenario.PROPORTION:
+    if scenario is montecarlo.Scenario.PROPORTION:
         results["p0"] = cfg.p0
     if res.ks_statistic is not None:
         results["ks_statistic"] = res.ks_statistic
@@ -340,9 +379,11 @@ def _cmd_simulate(args, argv) -> AnalysisReport:
 
 
 def _cmd_plot(args, argv) -> AnalysisReport:
+    from . import svgplot
+
     alpha = _check_alpha(args.alpha)
     dataset, design, table, labels, outliers = _diagnostics_payload(args, alpha)
-    emit_residual_plots(table, table.fitted, args.out, alpha=alpha, labels=labels)
+    svgplot.emit_residual_plots(table, table.fitted, args.out, alpha=alpha, labels=labels)
     return AnalysisReport(
         test="plot", command=("nullform", *argv), alpha=alpha,
         results={

@@ -27,7 +27,7 @@ from nullform.linmodel import (
     map_fnull_to_ftrad,
     nested_f_test,
 )
-from nullform.montecarlo import Scenario, SimConfig, null_law_check, simulate_size_power
+from nullform.montecarlo import Scenario, SimConfig, simulate_size_power
 from nullform.sample import Sample
 from nullform.specfun import (
     beta_params,
@@ -280,7 +280,7 @@ def test_criterion_7_monte_carlo():
         scenario=Scenario.NESTED_F, p1=2, p2=2,
     )
     res = simulate_size_power(cfg)
-    ks = null_law_check(cfg)
+    ks = res.ks_statistic
     t_cfg = SimConfig(
         replicates=100_000, seed=20260814, n=10, scenario=Scenario.ONE_SAMPLE_T
     )

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -330,3 +331,144 @@ def test_module_entry_point(tiny_csv):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["test"] == "ttest"
+
+
+# Cold start: a fresh `python -m nullform` imports only what its command runs.
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+TRACING_PATH = Path(__file__).resolve().parents[1] / "nullbench" / "tracing.py"
+
+
+def fresh_env():
+    # COLUMNS pins argparse's help width in and out of process
+    return {**os.environ, "COLUMNS": "80", "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
+def run_fresh(code, *args):
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# argv[1]: comma-separated modules to look for; argv[2:]: the command, if any
+LOADED_AFTER = """
+import contextlib, io, json, sys
+import nullform
+if sys.argv[2:]:
+    from nullform import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run_command(sys.argv[2:]) == 0
+print(json.dumps(sorted(set(sys.argv[1].split(",")) & set(sys.modules))))
+"""
+
+NUMPY_MODULES = ("numpy", "nullform.diagnostics", "nullform.linmodel",
+                 "nullform.montecarlo", "nullform.svgplot")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ((), NUMPY_MODULES),
+    (("proptest", "--successes", "7", "--n", "20", "--p0", "0.5", "--json"), NUMPY_MODULES),
+    (("ttest", "--input", "{reg}", "--mu0", "1", "--column", "y", "--json"), NUMPY_MODULES),
+    (("ttest", "--input", "{tiny}", "--mu0", "1"), NUMPY_MODULES),
+    (("ftest", "--input", "{reg}", "--response", "y", "--full-cols", "x1", "--json"),
+     ("nullform.montecarlo", "nullform.svgplot")),
+], ids=["import", "proptest", "ttest-column", "ttest-first-column", "ftest"])
+def test_cold_path_imports_only_what_it_runs(reg_csv, tiny_csv, argv, absent):
+    argv = [a.format(reg=reg_csv, tiny=tiny_csv) for a in argv]
+    assert run_fresh(LOADED_AFTER, ",".join(absent), *argv) == []
+
+
+@pytest.fixture
+def cold_csv(tmp_path):
+    # 40 rows as in the benchmark's cold workload: a label column, three
+    # predictors, one high-leverage row and one planted outlier
+    lines = ["label,y,x1,x2,x3"]
+    for i in range(40):
+        x1, x2, x3 = math.sin(1.3 * i), math.cos(0.7 * i), ((i * 7) % 11) / 5.0
+        y = 2.0 + 0.8 * x1 + 0.3 * (x2 + x3) + 0.5 * math.sin(3.1 * i + 1.0)
+        if i == 0:
+            x1, y = 8.0, 8.4
+        if i == 17:
+            y += 6.0
+        lines.append(f"obs{i:05d},{y!r},{x1!r},{x2!r},{x3!r}")
+    path = tmp_path / "small.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def cold_cycle(path, svg):
+    regression = ["--input", path, "--label-column", "label", "--response", "y"]
+    return [
+        ["ttest", "--input", path, "--label-column", "label", "--column", "y",
+         "--mu0", "2.5", "--json"],
+        ["proptest", "--successes", "131", "--n", "240", "--p0", "0.5", "--json"],
+        ["ftest", *regression, "--full-cols", "x1,x2,x3", "--reduced-cols", "x1",
+         "--intercept", "--json"],
+        ["outliers", *regression, "--predictors", "x1,x2,x3", "--json"],
+        ["simulate", "--scenario", "t", "--replicates", "2000", "--n", "10",
+         "--seed", "987654321", "--json"],
+        ["plot", *regression, "--predictors", "x1,x2,x3", "--out", svg, "--json"],
+        ["--help"],
+        ["simulate", "--help"],
+    ]
+
+
+def test_cold_process_matches_warm_in_process_bytes(capsys, monkeypatch, cold_csv, tmp_path):
+    # every module imported up front, as the in-process workloads have them
+    from nullform import diagnostics, linmodel, montecarlo, svgplot
+
+    monkeypatch.setenv("COLUMNS", "80")
+    svg = tmp_path / "residuals.svg"
+    for argv in cold_cycle(cold_csv, str(svg)):
+        cold = subprocess.run([sys.executable, "-m", "nullform", *argv], env=fresh_env(),
+                              capture_output=True, timeout=120)
+        assert cold.returncode == 0, cold.stderr.decode()
+        cold_svg = svg.read_bytes() if "--out" in argv else b""
+        assert run_command(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == cold.stdout, argv
+        if cold_svg:
+            assert svg.read_bytes() == cold_svg
+    # the last command was `simulate --help`
+    assert "--scenario {f,proportion,t}" in cold.stdout.decode()
+
+
+# Runs one ftest under the benchmark's tracer in a process that has never read
+# cli.fit or cli.nested_f_test, then one untraced ftest after `uninstall`.
+TRACED_FRESH = """
+import contextlib, importlib.util, io, json, sys
+spec = importlib.util.spec_from_file_location("nullbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+from nullform import (cli, dataio, diagnostics, linmodel, montecarlo,
+                      proportion, report, specfun, svgplot, ttest)
+modules = {m.__name__.rsplit(".", 1)[1]: m for m in
+           (cli, dataio, diagnostics, linmodel, montecarlo, proportion,
+            report, specfun, svgplot, ttest)}
+argv = sys.argv[2:]
+tracer = tracing.Tracer(modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        assert tracer.run_op(0, lambda: tracer.run_command(argv)) == 0
+    finally:
+        tracer.uninstall()
+    traced = len(tracer.spans)
+    assert cli.run_command(argv) == 0
+counts = tracing.counts_by_command(tracer.spans, {0: "ftest"})["ftest"]
+print(json.dumps({"fit": counts["fit"], "nested_f_test": counts["nested_f_test"],
+                  "untraced_spans": len(tracer.spans) - traced,
+                  "holder_left_wrapped": cli.nested_f_test is not linmodel.nested_f_test}))
+"""
+
+
+def test_tracer_in_a_fresh_process_counts_once_and_uninstalls(reg_csv):
+    argv = ["ftest", "--input", reg_csv, "--response", "y", "--full-cols", "x1",
+            "--intercept", "--json"]
+    out = run_fresh(TRACED_FRESH, str(TRACING_PATH), *argv)
+    assert out["fit"] == [0]
+    assert out["nested_f_test"] == [1]
+    # install read cli's holder after wrapping linmodel's copy, so uninstall
+    # left the holder wrapped: cli must not call through it
+    assert out["holder_left_wrapped"]
+    assert out["untraced_spans"] == 0
