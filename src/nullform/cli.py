@@ -5,9 +5,15 @@ prints statistics at 7 significant digits; --json prints the full-precision
 AnalysisReport.  Every test report carries both statistic forms and both
 p-value routes.
 
-Exit codes: 0 success, 2 usage error, 3 data/input error, 4 numeric or
-domain error.  The default simulation seed comes from the NULLFORM_SEED
-environment variable when the flag is absent.
+Exit codes: 0 success, 2 usage error, 3 data/input error (DataError or
+OSError), 4 any other NullformError (numeric or domain).  The default
+simulation seed comes from the NULLFORM_SEED environment variable when the
+flag is absent.
+
+Every report is assembled in `_assemble_report`: it checks alpha before any
+command runs, takes the payload each `_cmd_*(args, alpha)` returns (results,
+decisions, dataset or None, diagnostics rows or None), and adds the command
+echo, the input digest and the dropped-row warning.
 
 Import rule: this module imports only the numpy-free modules (dataio,
 errors, proportion, report, sample, specfun, ttest).  linmodel, diagnostics,
@@ -26,7 +32,7 @@ from importlib import import_module
 from typing import TYPE_CHECKING
 
 from .dataio import Dataset, ingest_csv
-from .errors import DataError, DomainError, NullformError, NumericError
+from .errors import DataError, DomainError, NullformError
 from .proportion import ProportionData, proportion_test
 from .report import AnalysisReport
 from .sample import Sample
@@ -205,48 +211,29 @@ def _design_from(
     return linmodel.DesignMatrix.from_columns(columns, labels)
 
 
-def _cmd_ttest(args, argv) -> AnalysisReport:
-    alpha = _check_alpha(args.alpha)
+def _cmd_ttest(args, alpha: float):
     dataset = _load_dataset(args, (args.column,) if args.column else ())
     column = args.column or dataset.column_names[0]
     sample = Sample(dataset.column(column))
     res = t_test(sample, args.mu0)
-    results = {
-        "n": sample.n, "column": column, "mean": res.mean, "mu0": res.mu0,
-        "s2": res.s2, "s0_2": res.s0_2, "t": res.t, "t0": res.t0,
-        "r_ratio": res.r_ratio, "ssto": res.ssto, "sst": res.sst, "sse": res.sse,
-        "cos2_theta": res.cos2_theta, "df": res.df,
-        "p_value_t": res.p_value_t, "p_value_t0": res.p_value_t0,
-        "degenerate": res.degenerate, "boundary": res.boundary,
-    }
+    results = {"n": sample.n, "column": column, **vars(res)}
     if not res.degenerate:
         results["theta"] = Geometry.from_result(res).theta
-    return AnalysisReport(
-        test="ttest", command=("nullform", *argv), alpha=alpha,
-        results=results,
-        decisions={
-            "reject_traditional": res.p_value_t <= alpha,
-            "reject_null_form": res.p_value_t0 <= alpha,
-        },
-        input_digest=dataset.digest, warnings=_drop_warnings(dataset),
-    )
+    decisions = {
+        "reject_traditional": res.p_value_t <= alpha,
+        "reject_null_form": res.p_value_t0 <= alpha,
+    }
+    return results, decisions, dataset, None
 
 
-def _cmd_proptest(args, argv) -> AnalysisReport:
-    alpha = _check_alpha(args.alpha)
+def _cmd_proptest(args, alpha: float):
     res = proportion_test(ProportionData(args.successes, args.n), args.p0, alpha)
     if args.alternative == "two-sided":
         p_null, p_wald = res.p_value_null, res.p_value_wald
-    elif args.alternative == "greater":
-        p_null = std_normal_cdf(-res.z_null)
-        p_wald = std_normal_cdf(-res.z_wald) if not res.wald_degenerate else (
-            0.0 if res.z_wald > 0 else 1.0
-        )
     else:
-        p_null = std_normal_cdf(res.z_null)
-        p_wald = std_normal_cdf(res.z_wald) if not res.wald_degenerate else (
-            1.0 if res.z_wald > 0 else 0.0
-        )
+        # a degenerate Wald z is signed infinity, whose cdf is exactly 0 or 1
+        sign = 1.0 if args.alternative == "less" else -1.0
+        p_null, p_wald = std_normal_cdf(sign * res.z_null), std_normal_cdf(sign * res.z_wald)
     results = {
         "successes": args.successes, "n": args.n, "p0": args.p0,
         "p_hat": res.p_hat, "z_null": res.z_null, "z_wald": res.z_wald,
@@ -254,20 +241,16 @@ def _cmd_proptest(args, argv) -> AnalysisReport:
         "ci_lower": res.ci_lower, "ci_upper": res.ci_upper,
         "alternative": args.alternative, "wald_degenerate": res.wald_degenerate,
     }
-    return AnalysisReport(
-        test="proptest", command=("nullform", *argv), alpha=alpha,
-        results=results,
-        decisions={
-            "reject_null_variance_form": p_null <= alpha,
-            "reject_wald_form": p_wald <= alpha,
-        },
-    )
+    decisions = {
+        "reject_null_variance_form": p_null <= alpha,
+        "reject_wald_form": p_wald <= alpha,
+    }
+    return results, decisions, None, None
 
 
-def _cmd_ftest(args, argv) -> AnalysisReport:
+def _cmd_ftest(args, alpha: float):
     from . import linmodel
 
-    alpha = _check_alpha(args.alpha)
     full_names = _split_list(args.full_cols)
     reduced_names = _split_list(args.reduced_cols)
     if full_names[: len(reduced_names)] != reduced_names:
@@ -286,21 +269,14 @@ def _cmd_ftest(args, argv) -> AnalysisReport:
     results = {
         "response": args.response, "full_columns": design.labels,
         "n": n, "p1": rp1, "p2": p2,
-        "sse1": res.sse1, "sse12": res.sse12, "ss2given1": res.ss2given1,
-        "f_trad": res.f_trad, "f_null": res.f_null,
-        "p_value_f": res.p_value_f, "p_value_beta": res.p_value_beta,
-        "cos2_theta": res.cos2_theta, "saturated": res.saturated,
+        **{k: v for k, v in vars(res).items() if k != "dims"},
         "theta": geo.theta, "side_a": geo.a, "side_b": geo.b, "side_c": geo.c,
     }
-    return AnalysisReport(
-        test="ftest", command=("nullform", *argv), alpha=alpha,
-        results=results,
-        decisions={
-            "reject_traditional": res.p_value_f <= alpha,
-            "reject_null_form": res.p_value_beta <= alpha,
-        },
-        input_digest=dataset.digest, warnings=_drop_warnings(dataset),
-    )
+    decisions = {
+        "reject_traditional": res.p_value_f <= alpha,
+        "reject_null_form": res.p_value_beta <= alpha,
+    }
+    return results, decisions, dataset, None
 
 
 def _diagnostics_payload(args, alpha: float):
@@ -320,10 +296,9 @@ def _diagnostics_payload(args, alpha: float):
     return dataset, design, table, labels, outliers
 
 
-def _cmd_outliers(args, argv) -> AnalysisReport:
+def _cmd_outliers(args, alpha: float):
     from . import diagnostics
 
-    alpha = _check_alpha(args.alpha)
     dataset, design, table, labels, outliers = _diagnostics_payload(args, alpha)
     results = {
         "response": args.response, "design_columns": design.labels,
@@ -333,21 +308,14 @@ def _cmd_outliers(args, argv) -> AnalysisReport:
             {"label": labels[i], "gap": g} for i, g in diagnostics.residual_gaps(table)
         ],
     }
-    return AnalysisReport(
-        test="outliers", command=("nullform", *argv), alpha=alpha,
-        results=results,
-        decisions={"any_outlier": bool(outliers)},
-        input_digest=dataset.digest,
-        # report columns are the DiagnosticsRow fields plus the row label
-        diagnostics=tuple({"label": labels[r.index], **vars(r)} for r in table.rows),
-        warnings=_drop_warnings(dataset),
-    )
+    # report columns are the DiagnosticsRow fields plus the row label
+    rows = tuple({"label": labels[r.index], **vars(r)} for r in table.rows)
+    return results, {"any_outlier": bool(outliers)}, dataset, rows
 
 
-def _cmd_simulate(args, argv) -> AnalysisReport:
+def _cmd_simulate(args, alpha: float):
     from . import montecarlo
 
-    alpha = _check_alpha(args.alpha)
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("NULLFORM_SEED", "0"))
@@ -371,35 +339,19 @@ def _cmd_simulate(args, argv) -> AnalysisReport:
     if res.ks_statistic is not None:
         results["ks_statistic"] = res.ks_statistic
         results["ks_critical_1pct"] = 1.63 / math.sqrt(cfg.replicates)
-    return AnalysisReport(
-        test="simulate", command=("nullform", *argv), alpha=alpha,
-        results=results,
-        decisions={"forms_agree_everywhere": res.disagreements == 0},
-    )
+    return results, {"forms_agree_everywhere": res.disagreements == 0}, None, None
 
 
-def _cmd_plot(args, argv) -> AnalysisReport:
+def _cmd_plot(args, alpha: float):
     from . import svgplot
 
-    alpha = _check_alpha(args.alpha)
     dataset, design, table, labels, outliers = _diagnostics_payload(args, alpha)
     svgplot.emit_residual_plots(table, table.fitted, args.out, alpha=alpha, labels=labels)
-    return AnalysisReport(
-        test="plot", command=("nullform", *argv), alpha=alpha,
-        results={
-            "response": args.response, "design_columns": design.labels,
-            "n": table.n, "out": str(args.out), "labeled_outliers": outliers,
-        },
-        decisions={"any_outlier": bool(outliers)},
-        input_digest=dataset.digest,
-        warnings=_drop_warnings(dataset),
-    )
-
-
-def _drop_warnings(dataset: Dataset) -> tuple[str, ...]:
-    if dataset.dropped_rows:
-        return (f"dropped {dataset.dropped_rows} row(s) with unusable cells",)
-    return ()
+    results = {
+        "response": args.response, "design_columns": design.labels,
+        "n": table.n, "out": str(args.out), "labeled_outliers": outliers,
+    }
+    return results, {"any_outlier": bool(outliers)}, dataset, None
 
 
 _DISPATCH = {
@@ -463,6 +415,24 @@ def _print_human(report: AnalysisReport) -> None:
         print(f"warning: {warning}")
 
 
+def _assemble_report(args: argparse.Namespace, argv) -> AnalysisReport:
+    """Check alpha, run the command and build its one report.  The payload
+    (dataset, diagnostics rows) is freed when this returns, before the
+    report is printed."""
+    alpha = _check_alpha(args.alpha)
+    results, decisions, dataset, rows = _DISPATCH[args.command](args, alpha)
+    digest, warnings = None, ()
+    if dataset is not None:
+        digest = dataset.digest
+        if dataset.dropped_rows:
+            warnings = (f"dropped {dataset.dropped_rows} row(s) with unusable cells",)
+    return AnalysisReport(
+        test=args.command, command=("nullform", *argv), alpha=alpha,
+        results=results, decisions=decisions, input_digest=digest,
+        diagnostics=rows, warnings=warnings,
+    )
+
+
 def run_command(argv) -> int:
     """Parse argv (without the program name), run, print, return exit code."""
     parser = _build_parser()
@@ -472,19 +442,13 @@ def run_command(argv) -> int:
         code = exc.code
         return int(code) if code is not None else EXIT_OK
     try:
-        report = _DISPATCH[args.command](args, tuple(argv))
-    except DataError as exc:
+        report = _assemble_report(args, argv)
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DomainError, NumericError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except NullformError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     if args.json:
         sys.stdout.write(report.to_json())
     else:

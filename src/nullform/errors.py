@@ -1,7 +1,7 @@
 """Exception taxonomy shared by all modules.
 
 The CLI maps these onto exit codes: usage errors exit 2 (argparse),
-DataError exits 3, DomainError and NumericError exit 4.
+DataError (like an OSError) exits 3, and every other NullformError exits 4.
 """
 
 

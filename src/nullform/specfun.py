@@ -493,19 +493,7 @@ def quantile(d: DistParams, q: float) -> float:
     if not (0.0 < q < 1.0) or math.isnan(q):
         raise DomainError(f"quantile requires 0 < q < 1, got {q!r}")
 
-    if d.family is Family.STUDENT_T:
-        if q == 0.5:
-            return 0.0
-        if q < 0.5:
-            return -quantile(d, 1.0 - q)
-        lo, hi = 0.0, 1.0
-        for _ in range(_QUANTILE_MAX_ITER):
-            if cdf(d, hi) >= q:
-                break
-            lo, hi = hi, hi * 2.0
-        else:
-            raise NumericError("quantile bracketing failed for student_t")
-    elif d.family is Family.BETA:
+    if d.family is Family.BETA:
         # solve upper-tail quantiles on the complement scale: near x = 1
         # spacing of doubles is absolute (~1e-16) while the density may be
         # unbounded, so no representable x can meet the CDF tolerance there;
@@ -514,9 +502,15 @@ def quantile(d: DistParams, q: float) -> float:
             return 1.0 - quantile(beta_params(d.df2, d.df1), 1.0 - q)
         lo, hi = 0.0, 1.0
     else:
-        # positive half-line families: double from a rough scale guess
+        if d.family is Family.STUDENT_T:
+            if q == 0.5:
+                return 0.0
+            if q < 0.5:
+                return -quantile(d, 1.0 - q)
+        # t upper half and the positive half-line families: double from a
+        # rough scale guess
         lo = 0.0
-        hi = 1.0 if d.family is Family.FISHER_F else max(d.df1, 1.0)
+        hi = max(d.df1, 1.0) if d.family is Family.CHI_SQUARE else 1.0
         for _ in range(_QUANTILE_MAX_ITER):
             if cdf(d, hi) >= q:
                 break

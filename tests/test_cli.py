@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -110,6 +111,21 @@ def test_proptest_far_tail(capsys):
     assert greater["p_value_null"] == pytest.approx(upper, rel=1e-12)
 
 
+@pytest.mark.parametrize("successes, alternative, p_wald", [
+    (0, "greater", 1.0), (0, "less", 0.0), (10, "greater", 0.0), (10, "less", 1.0),
+])
+def test_proptest_one_sided_at_the_wald_boundary(capsys, successes, alternative, p_wald):
+    # p_hat in {0, 1}: z_wald is signed infinity, so its one-sided p is 0 or 1
+    res = run_json(capsys, ["proptest", "--successes", str(successes), "--n", "10",
+                            "--p0", "0.5", "--alternative", alternative])["results"]
+    assert res["wald_degenerate"] is True
+    assert res["p_value_wald"] == p_wald
+    # |z_null| = sqrt(10); the null form stays on the side of the Wald form
+    tail = 0.5 * math.erfc(math.sqrt(10.0) / math.sqrt(2.0))
+    expected = tail if p_wald == 0.0 else 1.0 - tail
+    assert res["p_value_null"] == pytest.approx(expected, rel=1e-12)
+
+
 def test_ftest_columns_and_forms(capsys, reg_csv):
     payload = run_json(
         capsys,
@@ -207,6 +223,94 @@ def test_json_output_is_byte_deterministic(capsys, reg_csv, tmp_path):
     assert report.to_json() == first
 
 
+# sha256 of the stdout of each command, with --json and without, and of the
+# plot's SVG.  The human table prints results in insertion order, so these
+# also pin the key order of every results record.
+GOLDEN_ARGV = {
+    "ttest": ["ttest", "--input", "tiny.csv", "--mu0", "0"],
+    "ttest-boundary": ["ttest", "--input", "const.csv", "--mu0", "0"],
+    "proptest": ["proptest", "--successes", "60", "--n", "100", "--p0", "0.5"],
+    "proptest-less": ["proptest", "--successes", "60", "--n", "100", "--p0", "0.5",
+                      "--alternative", "less"],
+    "proptest-greater": ["proptest", "--successes", "60", "--n", "100", "--p0", "0.5",
+                         "--alternative", "greater"],
+    "ftest": ["ftest", "--input", "reg.csv", "--response", "y", "--full-cols", "x1",
+              "--intercept", "--label-column", "name"],
+    "outliers": ["outliers", "--input", "reg.csv", "--response", "y",
+                 "--label-column", "name"],
+    "simulate-t": ["simulate", "--scenario", "t", "--replicates", "300", "--n", "6",
+                   "--seed", "5"],
+    "simulate-f": ["simulate", "--scenario", "f", "--replicates", "300", "--n", "8",
+                   "--p1", "2", "--p2", "1", "--seed", "5"],
+    "simulate-proportion": ["simulate", "--scenario", "proportion", "--replicates",
+                            "300", "--n", "20", "--p0", "0.3", "--seed", "5"],
+    "plot": ["plot", "--input", "reg.csv", "--response", "y", "--predictors", "x1",
+             "--label-column", "name", "--out", "panels.svg"],
+}
+
+GOLDEN_SHA256 = {
+    "ftest": {
+        "json": "af72c64c456ba93dd19314ad51fcc129048fd16bc91b423cf87048391ab41a11",
+        "human": "b0fce9480d94a6f1f51aa0398e4f18c65f09fd712fe8318aea751a872665928d",
+    },
+    "outliers": {
+        "json": "71bcb7648187b2280980014b4bd599e4903067a6a2f15c43d24b4004d6c5caba",
+        "human": "fa9807fad3293fd96a7ca38f54c80dbdda3686c285977c25032d464854a88085",
+    },
+    "plot": {
+        "json": "e9de7a374eb1248ea0f26319e0d19a1122dc2c0f43439af0f90f5b2c9fc344d1",
+        "human": "bd63ba83876d35212ebe32508bdb2707eedd7f39cc9d376d290e003f06e80568",
+        "svg": "99c531c2169960f70268af9b73a79ba29625aeb29cd4ff1c29709191d95364e4",
+    },
+    "proptest": {
+        "json": "8af8219f02b71f69ccceca1259440b1d4340082105ba199b71a1076b0bede23f",
+        "human": "c4f2c2bf6625982f595ee65b2f25c595236ed5daecdd5973236adf953ccfa8fb",
+    },
+    "proptest-greater": {
+        "json": "1bbd30ef22d0124614263484f46d5dd5639d3bcb45b79425daab963255311aed",
+        "human": "8ce51567794ea7e64cc0f8bfaac1377e853f8a29366afe15e376eee6cfc6bc7d",
+    },
+    "proptest-less": {
+        "json": "300a379c3056ae1a33fbc8e18e22f2746edee88dc97d285c29bde9ecae294f0f",
+        "human": "21b821826737c7c82a1f2ad6d5dd08b19931481f0a4e3d5b8cfdf4aeb6caf801",
+    },
+    "simulate-f": {
+        "json": "c906fbacb4ca4ba1e6d4024d33e1431bda2b13db9ff1cfee3a9c14b15bdf7570",
+        "human": "91c97c2f7b54c6f1260d3bc7a036a589bf3704c208e52a79d75d2d6194b65569",
+    },
+    "simulate-proportion": {
+        "json": "1ca3411416408a6988e0c1535ae96fc295029d5582bc8a8cf92a9dccedc46dfb",
+        "human": "7b9a2ef00a5772bdd791bffa1ff27e97ddb616a88333a2824d2b82b77b2ce5f9",
+    },
+    "simulate-t": {
+        "json": "5abd26cb0bfb7c7181f156d54b2a28c21d5193e233d694e37e1508988790e00f",
+        "human": "ae6c3146d4d7b9cebc3d7cdf65b0de9d2d028a5b4a0a4abf7722bf9f1532e657",
+    },
+    "ttest": {
+        "json": "2f7cc52f08c1a422fe7876b97581790badca5ae5383e2650220edbf73774a6cc",
+        "human": "e16df3d0c15ff68a0ba02e75dfedd5760110c561e1156b3c8af21dc25fe7aee1",
+    },
+    "ttest-boundary": {
+        "json": "c879e69f2f8bcdbd7da240fe5ed67697d275d44dbc34487289bf4276041441a8",
+        "human": "da7e5d40f55177f0a80129201ed0533fec9903451157b310289520a4bd16a625",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+def test_stdout_bytes_pinned(capsys, monkeypatch, tiny_csv, reg_csv, name):
+    # relative paths keep the command echo in the report the same in every run
+    monkeypatch.chdir(Path(tiny_csv).parent)
+    Path("const.csv").write_text("y\n2\n2\n2\n", encoding="utf-8")
+    got = {}
+    for mode, extra in (("json", ["--json"]), ("human", [])):
+        assert run_command([*GOLDEN_ARGV[name], *extra]) == 0
+        got[mode] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    if name == "plot":
+        got["svg"] = hashlib.sha256(Path("panels.svg").read_bytes()).hexdigest()
+    assert got == GOLDEN_SHA256[name]
+
+
 def test_dropped_row_warning(capsys, tmp_path):
     path = tmp_path / "gappy.csv"
     path.write_text("y\n1\n\n2\nbad\n3\n", encoding="utf-8")
@@ -301,6 +405,10 @@ def test_exit_code_data(capsys, tmp_path):
 
 def test_exit_code_numeric(capsys, tiny_csv, tmp_path):
     assert run_command(["ttest", "--input", tiny_csv, "--mu0", "0", "--alpha", "2"]) == 4
+    # alpha is checked before the input is read
+    assert run_command(
+        ["ttest", "--input", str(tmp_path / "nope.csv"), "--mu0", "0", "--alpha", "2"]
+    ) == 4
     assert run_command(
         ["proptest", "--successes", "5", "--n", "10", "--p0", "0"]
     ) == 4
