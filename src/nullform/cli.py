@@ -318,7 +318,11 @@ def _cmd_simulate(args, alpha: float):
 
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("NULLFORM_SEED", "0"))
+        text = os.environ.get("NULLFORM_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise DomainError(f"NULLFORM_SEED must be an integer, got {text!r}") from None
     scenario = montecarlo.Scenario(_SCENARIOS[args.scenario])
     cfg = montecarlo.SimConfig(
         replicates=args.replicates, seed=seed, n=args.n, scenario=scenario,
@@ -370,32 +374,33 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
-        return f"{value:.7g}"
+        return "--" if math.isnan(value) else f"{value:.7g}"
     if isinstance(value, (list, tuple)):
         return ", ".join(_fmt(v) for v in value) if value else "(none)"
     return str(value)
 
 
-def _print_human(report: AnalysisReport) -> None:
+def _print_human(report: AnalysisReport, results: dict, rows) -> None:
+    """The report as a table: -- for an absent or NaN value, inf/-inf for +-inf."""
     print(f"nullform {report.test} (alpha = {_fmt(report.alpha)})")
     scalar = {
-        k: v for k, v in report.results.items()
+        k: v for k, v in results.items()
         if not (isinstance(v, list) and v and isinstance(v[0], dict))
     }
     width = max(len(k) for k in scalar) if scalar else 0
     for key, value in scalar.items():
         print(f"  {key:<{width}}  {_fmt(value)}")
-    ranking = report.results.get("gap_ranking")
+    ranking = results.get("gap_ranking")
     if ranking:
         print("  gap ranking (largest first):")
         for entry in ranking:
             print(f"    {entry['label']:<24} {_fmt(entry['gap'])}")
-    if report.diagnostics:
+    if rows:
         print(
             f"  {'idx':>4} {'label':<20} {'leverage':>10} {'residual':>12} "
             f"{'standard.':>12} {'student.':>12} {'p_value':>10} {'gap':>10}"
         )
-        for row in report.diagnostics:
+        for row in rows:
             cells = [
                 f"{row['index']:>4}",
                 f"{row['label']:<20.20}",
@@ -415,10 +420,10 @@ def _print_human(report: AnalysisReport) -> None:
         print(f"warning: {warning}")
 
 
-def _assemble_report(args: argparse.Namespace, argv) -> AnalysisReport:
-    """Check alpha, run the command and build its one report.  The payload
-    (dataset, diagnostics rows) is freed when this returns, before the
-    report is printed."""
+def _assemble_report(args: argparse.Namespace, argv):
+    """Check alpha, run the command and build its one report.  The human table
+    also gets the raw results and rows, where +-inf is not yet null; with --json
+    the payload (dataset, rows) is freed when this returns, before printing."""
     alpha = _check_alpha(args.alpha)
     results, decisions, dataset, rows = _DISPATCH[args.command](args, alpha)
     digest, warnings = None, ()
@@ -426,11 +431,12 @@ def _assemble_report(args: argparse.Namespace, argv) -> AnalysisReport:
         digest = dataset.digest
         if dataset.dropped_rows:
             warnings = (f"dropped {dataset.dropped_rows} row(s) with unusable cells",)
-    return AnalysisReport(
+    report = AnalysisReport(
         test=args.command, command=("nullform", *argv), alpha=alpha,
         results=results, decisions=decisions, input_digest=digest,
         diagnostics=rows, warnings=warnings,
     )
+    return report, None if args.json else (results, rows)
 
 
 def run_command(argv) -> int:
@@ -442,7 +448,7 @@ def run_command(argv) -> int:
         code = exc.code
         return int(code) if code is not None else EXIT_OK
     try:
-        report = _assemble_report(args, argv)
+        report, raw = _assemble_report(args, argv)
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -452,7 +458,7 @@ def run_command(argv) -> int:
     if args.json:
         sys.stdout.write(report.to_json())
     else:
-        _print_human(report)
+        _print_human(report, *raw)
     return EXIT_OK
 
 

@@ -98,9 +98,12 @@ def ingest_csv(
     after ingestion.  Rows with an unusable cell in a kept column are dropped
     and counted in `dropped_rows`; row numbers in error messages count data
     rows from 1.  The file is read once, and `digest` is the sha256 of the
-    raw bytes, a leading byte order mark included.  Bytes that are not UTF-8
-    and duplicate header names are errors.
+    raw bytes, a leading byte order mark included.  Bytes that are not UTF-8,
+    duplicate header names and a delimiter that is not one character are
+    errors.
     """
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise DataError(f"the delimiter must be one character, got {delimiter!r}")
     path = Path(path)
     try:
         data = path.read_bytes()

@@ -13,8 +13,9 @@ widens monotonically as observations become more extreme.
 All n tests share one QR of X.  The indicator's part orthogonal to X has
 squared norm 1 - h_i, so SS_{2|1,i} = e_i^2 / (1 - h_i), SSE_1 = SSE and
 SSE_12,i = SSE - SS_{2|1,i} (Belsley, Kuh & Welsch 1980; Cook & Weisberg
-1982); F_null and F_trad stay two separate formulas over those sums.  Where
-SS_{2|1,i} > SSE / 2 the subtraction would cancel, so SSE_12,i is summed
+1982); F_null and F_trad are linmodel's two formulas over those sums with
+p1 = p, p2 = 1, and an SSE under linmodel's exact-fit threshold is zero.
+Where SS_{2|1,i} > SSE / 2 the subtraction cancels, so SSE_12,i is summed
 directly from the augmented residuals e_j + h_ji e_i / (1 - h_i), j != i,
 with h_ji = Q_j . Q_i, losing at most one bit.
 
@@ -35,7 +36,8 @@ import numpy as np
 
 from .errors import DomainError
 # fit and nested_f_test stay bound here unused: nullbench/tracing.py wraps them
-from .linmodel import DesignMatrix, _qr_with_rank_check, fit, nested_f_test
+from .linmodel import (_SSE_NEGLIGIBLE_RTOL, DesignMatrix, _f_forms, _qr_with_rank_check,
+                       fit, nested_f_test)
 from .sample import Sample
 # cdf stays bound here unused: nullbench/tracing.py wraps it
 from .specfun import cdf, cdf_array, student_t
@@ -53,10 +55,6 @@ __all__ = [
 # a hat diagonal this close to 1 means the observation determines its own
 # fit; its indicator column lies (numerically) in the column space of X
 _LEVERAGE_TOL = 1e-8
-
-# squared relative residual scale below which a fit counts as exact,
-# mirroring the saturation threshold of the nested F-test
-_SSE_NEGLIGIBLE_RTOL = 1e-24
 
 # above this share of SSE, SSE_12,i is summed directly, not subtracted
 _DIRECT_SSE12_FRAC = 0.5
@@ -136,8 +134,7 @@ def residual_diagnostics(x: DesignMatrix, y: Sample) -> DiagnosticsTable:
             aug = e + (q @ q[i]) * (e[i] / (1.0 - h[i]))
             aug[i] = 0.0
             sse12[i] = aug @ aug
-        f_null = ss2given1 / (sse / (n - p))
-        f_trad = ss2given1 / (sse12 / (n - p - 1))
+        f_trad, f_null = _f_forms(ss2given1, sse12, sse, n, p, 1)
         r = np.copysign(np.sqrt(f_null), e)
         t = np.copysign(np.where(sse12 <= tiny_sse, np.inf, np.sqrt(f_trad)), e)
 

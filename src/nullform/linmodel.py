@@ -18,7 +18,8 @@ so SS_{2|1} is never the cancelling difference SSE_1 - SSE_12 (Bjorck,
 Numerical Methods for Least Squares Problems, SIAM 1996).  F_trad follows
 the usual F law; under H0 the scaled null form p2 F_null / (n - p1) follows
 Beta(p2/2, (n-p)/2).  Both p-value routes are computed and reported; the two
-must agree to rounding.
+must agree to rounding.  The two forms, their null laws and the exact-fit
+SSE threshold are written once here; simulation and diagnostics share them.
 
 The p1 = 0 case (no reduced predictors at all) needs no branch: Q1 is empty,
 the reduced fit is the zero function and SSE_1 = ||y||^2, which makes the
@@ -52,6 +53,10 @@ __all__ = [
 # smallest |R_jj| relative to the largest before a column is declared
 # linearly dependent on its predecessors
 _RANK_RTOL = 1e-10
+
+# an SSE below the square of 1e-12 * ||y|| cannot be told apart from an
+# exact interpolation; QR rounding alone produces dust of this size
+_SSE_NEGLIGIBLE_RTOL = 1e-24
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,11 +143,12 @@ class NestedSpec:
         return self.p - self.p1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
-    coefficients: tuple[float, ...]
-    fitted: tuple[float, ...]
-    residuals: tuple[float, ...]
+    # read-only float64 arrays
+    coefficients: np.ndarray
+    fitted: np.ndarray
+    residuals: np.ndarray
     sse: float
     df_resid: int
 
@@ -199,6 +205,19 @@ def _nested_sums(
     return sse12 + ss2given1, sse12, ss2given1
 
 
+def _f_forms(ss2given1, sse12, sse1, n: int, p1: int, p2: int):
+    """(F_trad, F_null) over the nested sums, for floats or arrays alike."""
+    f_trad = (ss2given1 / p2) / (sse12 / (n - p1 - p2))
+    f_null = (ss2given1 / p2) / (sse1 / (n - p1))
+    return f_trad, f_null
+
+
+def _null_laws(n: int, p1: int, p2: int):
+    """H0 laws of F_trad and of p2 F_null / (n - p1): F(p2, n-p), Beta(p2/2, (n-p)/2)."""
+    df = n - p1 - p2
+    return fisher_f(float(p2), float(df)), beta_params(0.5 * p2, 0.5 * df)
+
+
 def fit(x: DesignMatrix, y: Sample) -> FitResult:
     """Least-squares fit of y on the design columns via Householder QR.
 
@@ -215,17 +234,11 @@ def fit(x: DesignMatrix, y: Sample) -> FitResult:
     qty = q.T @ yvec
     fitted = q @ qty
     residuals = yvec - fitted
-    # back-substitution on the p-by-p triangular factor
-    beta = np.zeros(p)
-    for j in range(p - 1, -1, -1):
-        beta[j] = (qty[j] - r[j, j + 1 :] @ beta[j + 1 :]) / r[j, j]
-    return FitResult(
-        coefficients=tuple(float(v) for v in beta),
-        fitted=tuple(float(v) for v in fitted),
-        residuals=tuple(float(v) for v in residuals),
-        sse=float(residuals @ residuals),
-        df_resid=n - p,
-    )
+    # r is exactly upper triangular: LU makes no row swaps, so this is back-substitution
+    beta = np.linalg.solve(r, qty)
+    for arr in (beta, fitted, residuals):
+        arr.setflags(write=False)
+    return FitResult(beta, fitted, residuals, float(residuals @ residuals), n - p)
 
 
 def nested_f_test(spec: NestedSpec, y: Sample) -> NestedFTestResult:
@@ -235,8 +248,7 @@ def nested_f_test(spec: NestedSpec, y: Sample) -> NestedFTestResult:
     F(p2, n-p) tail at F_trad, p_value_beta the upper Beta(p2/2, (n-p)/2)
     tail at p2 F_null / (n - p1).
     """
-    n = spec.full.n_rows
-    p1, p2, p = spec.p1, spec.p2, spec.p
+    n, p1, p2 = spec.full.n_rows, spec.p1, spec.p2
     if y.n != n:
         raise DomainError(f"design has {n} rows but the response has {y.n}")
 
@@ -246,32 +258,24 @@ def nested_f_test(spec: NestedSpec, y: Sample) -> NestedFTestResult:
     yvec = np.asarray(y.values, dtype=np.float64)
     sse1, sse12, ss2given1 = (float(v) for v in _nested_sums(q, p1, yvec))
 
-    # an SSE below the square of 1e-12 * ||y|| cannot be told apart from an
-    # exact interpolation; QR rounding alone produces dust of this size
-    tiny_sse = 1e-24 * float(yvec @ yvec)
+    tiny_sse = _SSE_NEGLIGIBLE_RTOL * float(yvec @ yvec)
     if sse1 <= tiny_sse:
         raise DomainError("reduced model already fits exactly; the F-test is undefined")
     cos2_theta = ss2given1 / sse1
 
-    if sse12 <= tiny_sse:
-        return NestedFTestResult(
-            sse1=sse1, sse12=sse12, ss2given1=ss2given1,
-            f_trad=math.inf, f_null=(n - p1) / p2,
-            p_value_f=0.0, p_value_beta=0.0,
-            cos2_theta=cos2_theta, dims=(n, p1, p2), saturated=True,
-        )
-
-    f_trad = (ss2given1 / p2) / (sse12 / (n - p))
-    f_null = (ss2given1 / p2) / (sse1 / (n - p1))
-    p_value_f = 1.0 - cdf(fisher_f(float(p2), float(n - p)), f_trad)
-    p_value_beta = 1.0 - cdf(
-        beta_params(0.5 * p2, 0.5 * (n - p)), p2 * f_null / (n - p1)
-    )
+    saturated = sse12 <= tiny_sse
+    if saturated:
+        f_trad, f_null, p_value_f, p_value_beta = math.inf, (n - p1) / p2, 0.0, 0.0
+    else:
+        f_trad, f_null = _f_forms(ss2given1, sse12, sse1, n, p1, p2)
+        f_law, beta_law = _null_laws(n, p1, p2)
+        p_value_f = 1.0 - cdf(f_law, f_trad)
+        p_value_beta = 1.0 - cdf(beta_law, p2 * f_null / (n - p1))
     return NestedFTestResult(
         sse1=sse1, sse12=sse12, ss2given1=ss2given1,
         f_trad=f_trad, f_null=f_null,
         p_value_f=p_value_f, p_value_beta=p_value_beta,
-        cos2_theta=cos2_theta, dims=(n, p1, p2),
+        cos2_theta=cos2_theta, dims=(n, p1, p2), saturated=saturated,
     )
 
 

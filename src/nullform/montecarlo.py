@@ -37,9 +37,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .linmodel import _nested_sums
+from .linmodel import _f_forms, _nested_sums, _null_laws
 # cdf stays bound here unused: nullbench/tracing.py wraps it
-from .specfun import beta_params, cdf, cdf_array, fisher_f, normal_critical, quantile
+from .specfun import cdf, cdf_array, normal_critical, quantile
 
 __all__ = [
     "Scenario",
@@ -70,15 +70,6 @@ _MAX_POLAR_ATTEMPTS = 64
 _BLOCK_CELLS = 1 << 16
 
 
-def _mix64_int(x: int) -> int:
-    x &= _MASK
-    x ^= x >> 30
-    x = (x * _MIX1) & _MASK
-    x ^= x >> 27
-    x = (x * _MIX2) & _MASK
-    return x ^ (x >> 31)
-
-
 def _mix64_arr(x: np.ndarray) -> np.ndarray:
     x = x.copy()
     x ^= x >> np.uint64(30)
@@ -90,10 +81,10 @@ def _mix64_arr(x: np.ndarray) -> np.ndarray:
 
 
 def _cell_keys(seed: int, domain: int, start: int, count: int) -> np.ndarray:
-    domain_key = _mix64_int(seed + domain * _DOMAIN_SALT)
+    domain_key = _mix64_arr(np.array([(seed + domain * _DOMAIN_SALT) & _MASK], np.uint64))
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return _mix64_arr(np.uint64(domain_key) + idx * np.uint64(_STREAM_SALT))
+        return _mix64_arr(domain_key + idx * np.uint64(_STREAM_SALT))
 
 
 def _raw(keys: np.ndarray, k: int) -> np.ndarray:
@@ -225,15 +216,12 @@ def _nested_statistics(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, int, int
         x = normal_cells(cfg.seed, _DOMAIN_DESIGN, 0, n * (p1 + p2)).reshape(n, -1)
         if p1 >= 1:
             x[:, 0] = 1.0
-    p = p1 + p2
     q, _ = np.linalg.qr(x)
     y = normal_cells(cfg.seed, _DOMAIN_NOISE, 0, cfg.replicates * n).reshape(-1, n)
     y += x[:, p1:] @ (cfg.effect * np.full(p2, 1.0 / math.sqrt(p2)))
     sse1, sse12, ss2given1 = _nested_sums(q, p1, y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        f_trad = (ss2given1 / p2) / (sse12 / (n - p))
-        f_null = (ss2given1 / p2) / (sse1 / (n - p1))
-    return f_trad, f_null, p1, p2
+        return (*_f_forms(ss2given1, sse12, sse1, n, p1, p2), p1, p2)
 
 
 def _proportion_z(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -279,8 +267,8 @@ def simulate_size_power(cfg: SimConfig) -> SizePowerResult:
     else:
         f_trad, f_null, p1, p2 = _nested_statistics(cfg)
         n = cfg.n
-        null_law = beta_params(0.5 * p2, 0.5 * (n - p1 - p2))
-        f_crit = quantile(fisher_f(float(p2), float(n - p1 - p2)), 1.0 - alpha)
+        f_law, null_law = _null_laws(n, p1, p2)
+        f_crit = quantile(f_law, 1.0 - alpha)
         null_crit = quantile(null_law, 1.0 - alpha) * (n - p1) / p2
         reject_trad = f_trad >= f_crit
         reject_null = f_null >= null_crit

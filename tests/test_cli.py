@@ -292,7 +292,7 @@ GOLDEN_SHA256 = {
     },
     "ttest-boundary": {
         "json": "c879e69f2f8bcdbd7da240fe5ed67697d275d44dbc34487289bf4276041441a8",
-        "human": "da7e5d40f55177f0a80129201ed0533fec9903451157b310289520a4bd16a625",
+        "human": "5b21627b0011eb3ee4b66e8c39faea00f3307e5322342bd9c7a9ed621b7e3e07",
     },
 }
 
@@ -309,6 +309,41 @@ def test_stdout_bytes_pinned(capsys, monkeypatch, tiny_csv, reg_csv, name):
     if name == "plot":
         got["svg"] = hashlib.sha256(Path("panels.svg").read_bytes()).hexdigest()
     assert got == GOLDEN_SHA256[name]
+
+
+def test_human_output_prints_infinities(capsys, tmp_path):
+    # the JSON report turns +-inf into null; the human table keeps the sign
+    # and prints -- only for absent or NaN values
+    const = tmp_path / "const.csv"
+    const.write_text("y\n2\n2\n2\n", encoding="utf-8")
+    argv = ["ttest", "--input", str(const), "--mu0", "0"]
+    assert run_command(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  t           inf" in lines
+    assert "  r_ratio     inf" in lines
+    payload = run_json(capsys, argv)
+    assert payload["results"]["t"] is None and payload["results"]["r_ratio"] is None
+    for successes, z_wald in ((0, "-inf"), (10, "inf")):
+        assert run_command(["proptest", "--successes", str(successes), "--n", "10",
+                            "--p0", "0.5"]) == 0
+        assert f"  z_wald           {z_wald}" in capsys.readouterr().out.splitlines()
+    # row 0 leaves an exact fit when deleted: studentized -inf, gap inf
+    sat = tmp_path / "sat.csv"
+    sat.write_text("y,x1,x2\n1,0.1,2\n2,1.2,1\n6,2.1,5\n3,2.9,2\n4,4.2,3\n5,5.1,4\n",
+                   encoding="utf-8")
+    assert run_command(["outliers", "--input", str(sat), "--response", "y"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "    0                        inf" in lines
+    row = next(line for line in lines if line.startswith("     0 0 "))
+    assert row.split()[-3:] == ["-inf", "0", "inf"]
+    # a flagged row has NaN residual fields
+    flagged = tmp_path / "flagged.csv"
+    flagged.write_text("y,x1,d\n1.1,0.2,1\n1.8,1.1,0\n3.1,2.0,0\n9.0,2.9,0\n"
+                       "4.9,4.1,0\n6.2,5.0,0\n", encoding="utf-8")
+    assert run_command(["outliers", "--input", str(flagged), "--response", "y"]) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("     0 0 "))
+    assert row.split()[-8:] == ["--"] * 4 + ["<-", "flagged", "(leverage", "1)"]
 
 
 def test_dropped_row_warning(capsys, tmp_path):
@@ -401,6 +436,22 @@ def test_exit_code_data(capsys, tmp_path):
     latin.write_bytes(b"y\n1\n\xff3\n")
     assert run_command(["ttest", "--input", str(latin), "--mu0", "0"]) == 3
     assert "can't decode byte 0xff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delimiter", ["", ";;"])
+def test_exit_code_data_for_a_delimiter_that_is_not_one_character(capsys, tiny_csv, delimiter):
+    assert run_command(["ttest", "--input", tiny_csv, "--mu0", "0",
+                        "--delimiter", delimiter]) == 3
+    assert "delimiter must be one character" in capsys.readouterr().err
+
+
+def test_non_integer_seed_from_environment(capsys, monkeypatch):
+    monkeypatch.setenv("NULLFORM_SEED", "abc")
+    argv = ["simulate", "--scenario", "t", "--replicates", "10", "--n", "5"]
+    assert run_command(argv) == 4
+    assert "NULLFORM_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+    # the flag overrides the environment
+    assert run_command([*argv, "--seed", "3"]) == 0
 
 
 def test_exit_code_numeric(capsys, tiny_csv, tmp_path):

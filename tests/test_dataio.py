@@ -121,6 +121,13 @@ def test_alternate_delimiter(tmp_path):
     assert ds.column("x") == (2.0,)
 
 
+@pytest.mark.parametrize("delimiter", ["", ";;", "\t\t"])
+def test_delimiter_must_be_one_character(tmp_path, delimiter):
+    path = write(tmp_path, "a,b\n1,2\n")
+    with pytest.raises(DataError, match="delimiter must be one character"):
+        ingest_csv(path, delimiter=delimiter)
+
+
 def test_file_digest_matches_hashlib(tmp_path):
     path = write(tmp_path, "y\n1\n2\n3\n")
     expected = hashlib.sha256(path.read_bytes()).hexdigest()

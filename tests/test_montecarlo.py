@@ -1,6 +1,7 @@
-"""Monte Carlo harness: generator quality and reproducibility, scenario
-sizes, null-law KS checks, and power monotonicity."""
+"""Monte Carlo harness: generator quality and reproducibility, pinned draw
+bytes, scenario sizes, null-law KS checks, and power monotonicity."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -92,6 +93,42 @@ class TestGenerator:
         a = normal_cells(seed=77, domain=2, start=5, count=300)
         b = normal_cells(seed=77, domain=2, start=5, count=300)
         assert np.array_equal(a, b)
+
+
+# sha256 of the little-endian float64 bytes of each draw, generated when the
+# domain key was still mixed with Python integers.  Seed 2**64 - 1 makes
+# seed + domain * salt overflow 64 bits; a start of 2**40 and a count over
+# one block exercise the cell index and the blocking.
+DRAW_SHA256 = {
+    (0, 1, 0, 1000): (
+        "64f4e02ab41437686a99ad1fcc3133acf63719d3154cc46dd6bb53bdce71f71e",
+        "0e2e0bad383f3a62a6c60ccd37627bf8ed7e40365aa3a7fa0fc08564cd539387",
+    ),
+    (1, 2, 77, 70000): (
+        "218601305b477b0a00850cd5893856b047ac1d17f51bb6e85761bfdfee8513f4",
+        "29d8cf5ef24a35b9debf52b8869e44a186a0d82082bfe6bf101d138a4792ac9c",
+    ),
+    (2**64 - 1, 3, 0, 5000): (
+        "c70eeba2e8f692dc72ba0a3e9fddd346718a76853af23c4794fc1feed3ccfd1d",
+        "27d2ff4a194000add4cc7011cb7dca02a2ae62e877070574d0e158c99b5151c0",
+    ),
+    (2**64 - 1, 1, 10, 300): (
+        "f94095e2cb757e0539f4f13ed100bdfbb0c7a8a64d72a9ab7af8907c64817816",
+        "f963fc6f9d486fe746b12a145ff532abf72ceab5b39b248186abc5d3767d2d16",
+    ),
+    (12345, 3, 2**40, 2000): (
+        "a38d371e976875ad12654d267c98801f9c57b954a3579f300684fc676cb87438",
+        "fb18e7489acd94c3b9286e8ae7143e2ca013cd0a1197d6096875d1d4ec466750",
+    ),
+}
+
+
+@pytest.mark.parametrize("cells", sorted(DRAW_SHA256))
+def test_draw_bytes_pinned(cells):
+    def sha(a):
+        return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+    assert (sha(normal_cells(*cells)), sha(uniform_cells(*cells))) == DRAW_SHA256[cells]
 
 
 class TestConfigValidation:

@@ -1,5 +1,6 @@
 """Deterministic SVG residual panels."""
 
+import json
 import math
 import os
 import subprocess
@@ -8,11 +9,13 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 from xml.sax import saxutils
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from nullform.diagnostics import DiagnosticsTable, residual_diagnostics
+from nullform.cli import run_command
+from nullform.diagnostics import DiagnosticsRow, DiagnosticsTable, residual_diagnostics
 from nullform.errors import DomainError
 from nullform.linmodel import DesignMatrix, fit
 from nullform.sample import Sample
@@ -131,6 +134,42 @@ def test_nonfinite_fitted_points_are_skipped():
     assert doc.count("<path") == diamonds
     assert circles + diamonds == 4 * 4
     ET.fromstring(doc)
+
+
+def test_fit_and_diagnostics_fitted_values_render_the_same_plot(capsys, tmp_path):
+    # the benchmark's plot check renders a table rebuilt from the `outliers
+    # --json` rows with the fitted values of `fit`, and the plot command
+    # renders its own table with the fitted values of `residual_diagnostics`
+    rng = np.random.default_rng(3)
+    n = 40
+    x = rng.standard_normal((n, 3))
+    y = 1.0 + x @ np.array([0.5, -1.0, 2.0]) + rng.standard_normal(n)
+    y[[4, 17]] += (9.0, -7.0)
+    labels = [f"r{i}" for i in range(n)]
+    path = tmp_path / "reg.csv"
+    path.write_text("name,y,x1,x2,x3\n" + "".join(
+        f"{label},{yi!r},{a!r},{b!r},{c!r}\n" for label, yi, (a, b, c) in zip(labels, y.tolist(), x.tolist())
+    ), encoding="utf-8")
+    common = ["--input", str(path), "--response", "y", "--label-column", "name"]
+    assert run_command(["outliers", *common, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert run_command(["plot", *common, "--out", str(tmp_path / "p.svg")]) == 0
+    capsys.readouterr()
+
+    design = DesignMatrix(np.column_stack([np.ones(n), x]), ("const", "x1", "x2", "x3"))
+    sample = Sample.from_iterable(y.tolist())
+    from_fit = fit(design, sample).fitted
+    from_table = residual_diagnostics(design, sample).fitted
+    assert len(from_fit) == len(from_table) == n
+    assert all(a == b for a, b in zip(from_fit, from_table))
+    table = DiagnosticsTable(tuple(
+        DiagnosticsRow(**{k: (math.nan if v is None else v) for k, v in row.items()
+                          if k != "label"})
+        for row in report["diagnostics"]), n=n, p=4)
+    assert report["results"]["outliers"]
+    docs = {emit_residual_plots(table, fitted, None, 0.05, labels=labels)
+            for fitted in (from_fit, from_table)}
+    assert docs == {(tmp_path / "p.svg").read_text(encoding="utf-8")}
 
 
 def test_flagged_rows_are_skipped_entirely():
