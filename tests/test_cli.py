@@ -445,6 +445,19 @@ def test_exit_code_data_for_a_delimiter_that_is_not_one_character(capsys, tiny_c
     assert "delimiter must be one character" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_exit_code_data_for_an_over_long_field(capsys, tmp_path, quote):
+    # longer than the csv module's default field size limit of 131072
+    path = tmp_path / "long.csv"
+    path.write_text(f"name,y\n{quote}{'a' * 140_000}{quote},1\nb,2\nc,3\n",
+                    encoding="utf-8")
+    assert run_command(["ttest", "--input", str(path), "--label-column", "name",
+                        "--column", "y", "--mu0", "0"]) == 3
+    err = capsys.readouterr().err
+    assert f"cannot parse {path}" in err
+    assert "field larger than field limit" in err
+
+
 def test_non_integer_seed_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("NULLFORM_SEED", "abc")
     argv = ["simulate", "--scenario", "t", "--replicates", "10", "--n", "5"]

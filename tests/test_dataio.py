@@ -3,6 +3,8 @@
 import csv
 import hashlib
 import math
+import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -180,10 +182,16 @@ def per_cell(cell):
 
 def per_row_ingest(path, delimiter=",", header=True, columns=(), log_columns=(),
                    label_column=None):
-    """The per-row, per-cell ingest loop, kept as the oracle of the column pass."""
+    """The per-row, per-cell ingest loop, kept as the oracle of the column pass.
+
+    Records end at \\n, \\r\\n and \\r only, and a final line break starts
+    no further line.
+    """
     data = path.read_bytes()
-    rows = [row for row in csv.reader(data.decode("utf-8-sig").splitlines(),
-                                      delimiter=delimiter) if row]
+    lines = re.split(r"\r\n|\r|\n", data.decode("utf-8-sig"))
+    if lines[-1] == "":
+        lines.pop()
+    rows = [row for row in csv.reader(lines, delimiter=delimiter) if row]
     if not rows:
         raise DataError(f"{path} contains no rows")
     if header:
@@ -251,8 +259,32 @@ CELLS = {
 }
 
 
+# messy cells that hold a line boundary of str.splitlines() which does not
+# end a CSV record
+BREAKS = ["a\u2028b", "\u2029", "2\x85", "\x0b", "3\x0c", "x\x1cy", "\x1d", "\x1e"]
+
+
 @st.composite
-def csv_cases(draw):
+def csv_cases(draw, quotes=True):
+    """A CSV text and ingest options.
+
+    With quotes=False no `"` is written: cells that would need one are left
+    out, the delimiter is `,`, `;` or a tab, lines end in \\n, \\r\\n or \\r,
+    every row is full-width about half of the time, and messy cells may hold
+    a line boundary from BREAKS.
+    """
+    delimiter, eol, ragged = ",", "\n", True
+    if not quotes:
+        delimiter = draw(st.sampled_from([",", ";", "\t"]))
+        eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        ragged = draw(st.booleans())
+
+    def pool(kind):
+        if quotes:
+            return CELLS[kind]
+        cells = CELLS[kind] + (BREAKS if kind == "messy" else [])
+        return [c for c in cells if '"' not in c and delimiter not in c]
+
     width = draw(st.integers(1, len(NAMES)))
     names = list(NAMES[:width])
     kinds = [draw(st.sampled_from(sorted(CELLS))) for _ in names]
@@ -261,26 +293,28 @@ def csv_cases(draw):
         if draw(st.booleans()) and draw(st.booleans()):
             rows.append(None)  # a blank line
             continue
-        length = width + draw(st.sampled_from([0, 0, 0, 1, -1, -2]))
+        length = width + (draw(st.sampled_from([0, 0, 0, 1, -1, -2])) if ragged else 0)
         pools = kinds + ["messy"]
-        rows.append([draw(st.sampled_from(CELLS[pools[min(j, width)]])) for j in range(length)])
+        rows.append([draw(st.sampled_from(pool(pools[min(j, width)]))) for j in range(length)])
     header = draw(st.booleans())
     col_names = names if header else [f"col{i}" for i in range(width)]
     label = draw(st.sampled_from([None, *col_names]))
     columns = draw(st.lists(st.sampled_from(col_names), max_size=width, unique=True))
-    pool = columns or [n for n in col_names if n != label]
-    logs = draw(st.lists(st.sampled_from(pool), max_size=1)) if pool else []
+    pool_names = columns or [n for n in col_names if n != label]
+    logs = draw(st.lists(st.sampled_from(pool_names), max_size=1)) if pool_names else []
 
     def render(cell):
+        if not quotes:
+            return cell
         if "," in cell or '"' in cell or draw(st.booleans()) and draw(st.booleans()):
             return '"' + cell.replace('"', '""') + '"'
         return cell
 
-    lines = [",".join(names)] if header else []
-    lines += ["" if row is None else ",".join(map(render, row)) for row in rows]
-    text = ("\ufeff" if draw(st.booleans()) else "") + "\n".join(lines) + "\n"
-    return text, dict(header=header, columns=tuple(columns), log_columns=tuple(logs),
-                      label_column=label)
+    lines = [delimiter.join(names)] if header else []
+    lines += ["" if row is None else delimiter.join(map(render, row)) for row in rows]
+    text = ("\ufeff" if draw(st.booleans()) else "") + eol.join(lines) + eol
+    return text, dict(delimiter=delimiter, header=header, columns=tuple(columns),
+                      log_columns=tuple(logs), label_column=label)
 
 
 def _outcome(fn, path, kwargs):
@@ -300,3 +334,55 @@ def test_column_pass_matches_per_row_loop(tmp_path, case):
     path = tmp_path / "case.csv"
     path.write_bytes(text.encode("utf-8"))
     assert _outcome(ingest_csv, path, kwargs) == _outcome(per_row_ingest, path, kwargs)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=csv_cases(quotes=False))
+def test_unquoted_files_match_per_row_loop(tmp_path, case):
+    # rectangular cases take the one-split route, ragged ones the csv route
+    text, kwargs = case
+    path = tmp_path / "case.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(ingest_csv, path, kwargs) == _outcome(per_row_ingest, path, kwargs)
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+@pytest.mark.parametrize("brk", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c",
+                                 "\x1d", "\x1e"])
+def test_a_line_boundary_inside_a_cell_ends_no_record(tmp_path, brk, quote):
+    label = f"a{brk}b"
+    path = tmp_path / "labels.csv"
+    path.write_bytes(f"name,y\n{quote}{label}{quote},1\r\nc,2\rd,3\n".encode("utf-8"))
+    ds = ingest_csv(path, label_column="name")
+    assert ds.row_labels == (label, "c", "d")
+    assert ds.column("y") == (1.0, 2.0, 3.0)
+    assert ds.dropped_rows == 0
+
+
+def test_split_and_csv_routes_agree_on_a_tall_file(tmp_path, monkeypatch):
+    rng = random.Random(11)
+    lines = ["label,y,x1,x2"]
+    for i in range(20_000):
+        lines.append(f"obs{i:05d},{rng.gauss(3.0, 1.0)!r},{rng.random()!r},"
+                     f"{rng.expovariate(1.0)!r}")
+    label, y, x1, x2 = lines[8].split(",")
+    lines[8] = f"{label},{y},NA,{x2}"  # drops data row 8
+    readers = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda *a, **kw: readers.append(a) or reader(*a, **kw))
+    path = tmp_path / "tall.csv"
+
+    def ingest(text):
+        path.write_bytes(text.encode("utf-8"))
+        ds = ingest_csv(path, label_column="label", log_columns=("x2",))
+        return {k: v for k, v in vars(ds).items() if k != "digest"}
+
+    split = ingest("\n".join(lines) + "\n")
+    assert not readers
+    label, y, x1, x2 = lines[101].split(",")
+    lines[101] = f'{label},"{y}",{x1},{x2}'
+    by_csv = ingest("\n".join(lines) + "\n")
+    assert readers
+    assert split["n_rows"] == 19_999 and split["dropped_rows"] == 1
+    assert split == by_csv
