@@ -15,7 +15,8 @@ whose non-blank lines all hold the first line's number of delimiters, none
 longer than the csv field size limit, is joined and split once on the
 delimiter, and column j is the slice flat[j::width]; the csv module would
 split it the same way.  Any other text, quoted or ragged, goes through
-csv.reader, and a malformed or over-long field there is a DataError.
+csv.reader, which keeps a line break inside a quoted cell in it; a
+malformed or over-long field there is a DataError.
 
 Parsing is column-wise: each kept column is converted with one float() pass
 and screened with one fsum; only a column that fails the screen is parsed
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 from dataclasses import dataclass
 from itertools import compress, repeat
@@ -133,16 +135,17 @@ def _split_table(
 
 
 def _csv_table(
-    lines: list[str], delimiter: str, header: bool, path: Path
+    text: str, delimiter: str, header: bool, path: Path
 ) -> tuple[list[str], int, list[tuple[str, ...]], list[int]]:
     """First row, data-row count, columns and row numbers, by the csv module.
 
-    This route reads quoted cells and ragged rows.  The columns and row
-    numbers cover the data rows at least as long as the first row; a
-    malformed or over-long field is a DataError.
+    This route reads ragged rows and quoted cells, a line break inside one
+    kept.  The columns and row numbers cover the data rows at least as long
+    as the first row; a malformed or over-long field is a DataError.
     """
     try:
-        rows = [row for row in csv.reader(lines, delimiter=delimiter) if row]
+        reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+        rows = [row for row in reader if row]
     except csv.Error as exc:
         raise DataError(f"cannot parse {path}: {exc}") from exc
     if not rows:
@@ -183,9 +186,8 @@ def ingest_csv(
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
-    lines = _records(text)
-    split = None if '"' in text else _split_table(lines, delimiter, header)
-    first, n_data, cells, row_numbers = split or _csv_table(lines, delimiter, header, path)
+    split = None if '"' in text else _split_table(_records(text), delimiter, header)
+    first, n_data, cells, row_numbers = split or _csv_table(text, delimiter, header, path)
 
     if header:
         names = [name.strip() for name in first]

@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import DomainError
 # fit and nested_f_test stay bound here unused: nullbench/tracing.py wraps them
-from .linmodel import (_SSE_NEGLIGIBLE_RTOL, DesignMatrix, _f_forms, _qr_with_rank_check,
-                       fit, nested_f_test)
+from .linmodel import (_SSE_NEGLIGIBLE_RTOL, DesignMatrix, _f_forms, _qr_and_response,
+                       _qr_with_rank_check, fit, map_fnull_to_ftrad, nested_f_test)
 from .sample import Sample
 # cdf stays bound here unused: nullbench/tracing.py wraps it
 from .specfun import cdf, cdf_array, student_t
@@ -112,10 +112,7 @@ def residual_diagnostics(x: DesignMatrix, y: Sample) -> DiagnosticsTable:
         raise DomainError(
             f"diagnostics need n > p + 1, got n={n} with p={p}"
         )
-    if y.n != n:
-        raise DomainError(f"design has {n} rows but the response has {y.n}")
-    q, _ = _qr_with_rank_check(x)
-    yvec = np.asarray(y.values, dtype=np.float64)
+    q, _, yvec = _qr_and_response(x, y)
     fitted = q @ (q.T @ yvec)
     e = yvec - fitted
     sse = float(e @ e)
@@ -151,21 +148,12 @@ def residual_diagnostics(x: DesignMatrix, y: Sample) -> DiagnosticsTable:
 def map_standardized_to_studentized(r: float, n: int, p1: int) -> float:
     """Exact map from a standardized to a studentized residual.
 
-    t = sign(r) sqrt((n - p1 - 1) r^2 / (n - p1 - r^2)), the square-root form
-    of the F_null -> F_trad map with a single tested coefficient; defined for
-    |r| < sqrt(n - p1).
+    t = sign(r) sqrt((n - p1 - 1) r^2 / (n - p1 - r^2)), the signed square
+    root of linmodel's F_null -> F_trad map at F_null = r^2 with a single
+    tested coefficient; defined for |r| < sqrt(n - p1).
     """
     r = float(r)
-    if n - p1 < 2:
-        raise DomainError(f"need n - p1 >= 2, got n={n}, p1={p1}")
-    if not r * r < n - p1:
-        raise DomainError(
-            f"standardized residual must satisfy |r| < sqrt(n - p1); "
-            f"got r={r!r} with n={n}, p1={p1}"
-        )
-    return math.copysign(
-        math.sqrt((n - p1 - 1) * r * r / (n - p1 - r * r)), r
-    )
+    return math.copysign(math.sqrt(map_fnull_to_ftrad(r * r, n, p1, 1)), r)
 
 
 def residual_gaps(table: DiagnosticsTable) -> list[tuple[int, float]]:

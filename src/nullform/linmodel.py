@@ -193,6 +193,16 @@ def _qr_with_rank_check(x: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
+def _qr_and_response(
+    x: DesignMatrix, y: Sample
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Q, R) of x with the rank check, and y as a float64 vector of its length."""
+    if y.n != x.n_rows:
+        raise DomainError(f"design has {x.n_rows} rows but the response has {y.n}")
+    q, r = _qr_with_rank_check(x)
+    return q, r, np.asarray(y.values, dtype=np.float64)
+
+
 def _nested_sums(
     q: np.ndarray, p1: int, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,12 +235,9 @@ def fit(x: DesignMatrix, y: Sample) -> FitResult:
     falls below 1e-10 of the largest.
     """
     n, p = x.n_rows, x.n_cols
-    if y.n != n:
-        raise DomainError(f"design has {n} rows but the response has {y.n}")
     if p >= n:
         raise DomainError(f"need p < n, got p={p} with n={n}")
-    q, r = _qr_with_rank_check(x)
-    yvec = np.asarray(y.values, dtype=np.float64)
+    q, r, yvec = _qr_and_response(x, y)
     qty = q.T @ yvec
     fitted = q @ qty
     residuals = yvec - fitted
@@ -249,13 +256,9 @@ def nested_f_test(spec: NestedSpec, y: Sample) -> NestedFTestResult:
     tail at p2 F_null / (n - p1).
     """
     n, p1, p2 = spec.full.n_rows, spec.p1, spec.p2
-    if y.n != n:
-        raise DomainError(f"design has {n} rows but the response has {y.n}")
-
     # X1's R diagonal is the leading part of the full one, under a threshold
     # at least as strict, so this check also covers the reduced design
-    q, _ = _qr_with_rank_check(spec.full)
-    yvec = np.asarray(y.values, dtype=np.float64)
+    q, _, yvec = _qr_and_response(spec.full, y)
     sse1, sse12, ss2given1 = (float(v) for v in _nested_sums(q, p1, yvec))
 
     tiny_sse = _SSE_NEGLIGIBLE_RTOL * float(yvec @ yvec)

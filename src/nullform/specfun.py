@@ -10,6 +10,11 @@ Lentz algorithm (tiny-value floor 1e-300, convergence tolerance 1e-15,
 iteration cap 500).  Quantiles are found by bracketing from a family-specific
 initial guess followed by bisection-safeguarded Newton steps.
 
+The t and F cdfs share one reduction.  t enters as the upper tail of
+F(1, nu) at x^2, so both map to (z, c, a, b) with the cdf or tail equal to
+I_u(a, b) at u = z/(z+c), and one split at z <= c, written once per kernel,
+forms whichever of u and 1 - u is at most 1/2 without cancellation.
+
 Upper normal tails read Q(1/2, z^2/2) straight off the incomplete-gamma
 continued fraction, which evaluates Q, instead of forming 1 - P: so
 two_sided_normal_p(9) is 2.3e-19, not 0.
@@ -353,6 +358,43 @@ def _check_params(d: DistParams) -> None:
             raise DomainError(f"{d.family.value} requires df2 > 0, got {d.df2!r}")
 
 
+def _beta_args(d: DistParams, x):
+    """(z, c, a, b) with I_u(a, b), u = z/(z+c), the F(d1, d2) cdf at x or,
+    for t(nu), the tail P(|T| >= |x|) of F(1, nu) at x^2; floats or arrays.
+    t's (z, c) is (nu, x^2), not (x^2, nu), so `_beta_at` puts its tie
+    x^2 = nu on the far branch and F's tie d1 x = d2 on the lower one."""
+    if d.family is Family.STUDENT_T:
+        return d.df1, x * x, 0.5 * d.df1, 0.5
+    return d.df1 * x, d.df2, 0.5 * d.df1, 0.5 * d.df2
+
+
+def _beta_at(z: float, c: float, a: float, b: float) -> float:
+    """I_u(a, b) at u = z/(z+c) for c >= 0; 0 where z <= 0.
+
+    Whichever of u and 1 - u is at most 1/2 is formed without cancellation:
+    u itself for z <= c, else c/(z+c) with the shapes swapped.
+    """
+    if z <= 0.0:
+        return 0.0
+    if z <= c:
+        return reg_inc_beta(z / (z + c), a, b)
+    return 1.0 - reg_inc_beta(c / (z + c), b, a)
+
+
+def _beta_at_array(z, c, a: float, b: float):
+    """_beta_at at every element of z and c broadcast together."""
+    import numpy as np
+
+    z, c = np.broadcast_arrays(z, c)
+    out = np.zeros(z.shape)
+    low = (z > 0.0) & (z <= c)
+    high = z > c
+    zl, cl, zh, ch = z[low], c[low], z[high], c[high]
+    out[low] = _reg_inc_beta_array(zl / (zl + cl), a, b)
+    out[high] = 1.0 - _reg_inc_beta_array(ch / (zh + ch), b, a)
+    return out
+
+
 def cdf(d: DistParams, x: float) -> float:
     """CDF of the named family at x, via the incomplete-function reductions."""
     _check_params(d)
@@ -360,38 +402,13 @@ def cdf(d: DistParams, x: float) -> float:
     if math.isnan(x):
         raise DomainError("cdf requires a non-NaN evaluation point")
     if d.family is Family.STUDENT_T:
-        if math.isinf(x):
-            return 1.0 if x > 0 else 0.0
-        if x == 0.0:
-            return 0.5
-        nu = d.df1
-        t2 = x * x
-        # choose the reduction whose beta argument is formed without
-        # cancellation: nu/(nu+t^2) for the far tail, t^2/(nu+t^2) near zero
-        if t2 >= nu:
-            tail = 0.5 * reg_inc_beta(nu / (nu + t2), 0.5 * nu, 0.5)
-        else:
-            tail = 0.5 * (1.0 - reg_inc_beta(t2 / (nu + t2), 0.5, 0.5 * nu))
+        tail = 0.5 * _beta_at(*_beta_args(d, x))
         return 1.0 - tail if x > 0 else tail
     if d.family is Family.FISHER_F:
-        if x <= 0.0:
-            return 0.0
-        if math.isinf(x):
-            return 1.0
-        d1, d2 = d.df1, d.df2
-        if d1 * x <= d2:
-            return reg_inc_beta(d1 * x / (d1 * x + d2), 0.5 * d1, 0.5 * d2)
-        return 1.0 - reg_inc_beta(d2 / (d1 * x + d2), 0.5 * d2, 0.5 * d1)
+        return _beta_at(*_beta_args(d, x))
     if d.family is Family.BETA:
-        if x <= 0.0:
-            return 0.0
-        if x >= 1.0:
-            return 1.0
-        return reg_inc_beta(x, d.df1, d.df2)
-    # chi-square
-    if x <= 0.0:
-        return 0.0
-    return reg_inc_gamma_lower(0.5 * d.df1, 0.5 * x)
+        return reg_inc_beta(min(max(x, 0.0), 1.0), d.df1, d.df2)
+    return reg_inc_gamma_lower(0.5 * d.df1, 0.5 * max(x, 0.0))
 
 
 def cdf_array(d: DistParams, x):
@@ -406,34 +423,18 @@ def cdf_array(d: DistParams, x):
     x = np.asarray(x, dtype=np.float64)
     if np.isnan(x).any():
         raise DomainError("cdf_array requires non-NaN evaluation points")
-    if d.family is Family.STUDENT_T:
-        # t = 0 and t = +-inf come out exactly as in cdf: the near reduction
-        # gives a tail of 0.5 at 0, the far one a tail of 0 where t^2 = inf
-        nu = d.df1
-        with np.errstate(over="ignore"):
-            t2 = x * x
-        far = t2 >= nu
-        near = ~far
-        tail = np.empty_like(x)
-        tail[far] = 0.5 * _reg_inc_beta_array(nu / (nu + t2[far]), 0.5 * nu, 0.5)
-        tail[near] = 0.5 * (
-            1.0 - _reg_inc_beta_array(t2[near] / (nu + t2[near]), 0.5, 0.5 * nu)
-        )
-        return np.where(x > 0, 1.0 - tail, tail)
-    if d.family is Family.FISHER_F:
-        # x <= 0 gives 0; where d1 x = inf the upper reduction gives 1
-        d1, d2 = d.df1, d.df2
-        with np.errstate(over="ignore"):
-            dx = d1 * x
-        out = np.zeros_like(x)
-        lower = (x > 0.0) & (dx <= d2)
-        upper = dx > d2
-        out[lower] = _reg_inc_beta_array(dx[lower] / (dx[lower] + d2), 0.5 * d1, 0.5 * d2)
-        out[upper] = 1.0 - _reg_inc_beta_array(d2 / (dx[upper] + d2), 0.5 * d2, 0.5 * d1)
-        return out
     if d.family is Family.BETA:
         return _reg_inc_beta_array(np.clip(x, 0.0, 1.0), d.df1, d.df2)
-    raise DomainError(f"cdf_array has no path for {d.family.value}; use cdf")
+    if d.family is Family.CHI_SQUARE:
+        raise DomainError(f"cdf_array has no path for {d.family.value}; use cdf")
+    # x^2 or d1 x may overflow to inf, which the split reads exactly
+    with np.errstate(over="ignore"):
+        args = _beta_args(d, x)
+    p = _beta_at_array(*args)
+    if d.family is Family.FISHER_F:
+        return p
+    tail = 0.5 * p
+    return np.where(x > 0, 1.0 - tail, tail)
 
 
 def pdf(d: DistParams, x: float) -> float:

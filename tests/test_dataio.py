@@ -2,9 +2,9 @@
 
 import csv
 import hashlib
+import io
 import math
 import random
-import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -184,14 +184,12 @@ def per_row_ingest(path, delimiter=",", header=True, columns=(), log_columns=(),
                    label_column=None):
     """The per-row, per-cell ingest loop, kept as the oracle of the column pass.
 
-    Records end at \\n, \\r\\n and \\r only, and a final line break starts
-    no further line.
+    Records end at \\n, \\r\\n and \\r outside quotes only; a line break
+    inside a quoted cell stays in it.
     """
     data = path.read_bytes()
-    lines = re.split(r"\r\n|\r|\n", data.decode("utf-8-sig"))
-    if lines[-1] == "":
-        lines.pop()
-    rows = [row for row in csv.reader(lines, delimiter=delimiter) if row]
+    text = io.StringIO(data.decode("utf-8-sig"), newline="")
+    rows = [row for row in csv.reader(text, delimiter=delimiter) if row]
     if not rows:
         raise DataError(f"{path} contains no rows")
     if header:
@@ -358,6 +356,18 @@ def test_a_line_boundary_inside_a_cell_ends_no_record(tmp_path, brk, quote):
     assert ds.row_labels == (label, "c", "d")
     assert ds.column("y") == (1.0, 2.0, 3.0)
     assert ds.dropped_rows == 0
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"])
+def test_a_line_break_inside_a_quoted_cell_stays_in_it(tmp_path, brk):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(f'name,y\n"first{brk}second",1\nb,"2{brk}"\n'.encode("utf-8"))
+    ds = ingest_csv(path, label_column="name")
+    assert ds.row_labels == (f"first{brk}second", "b")
+    assert ds.column("y") == (1.0, 2.0)
+    assert ds.dropped_rows == 0
+    kwargs = dict(label_column="name")
+    assert _outcome(ingest_csv, path, kwargs) == _outcome(per_row_ingest, path, kwargs)
 
 
 def test_split_and_csv_routes_agree_on_a_tall_file(tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nullform.diagnostics import residual_diagnostics
 from nullform.errors import DomainError, RankDeficiencyError
 from nullform.linmodel import (
     DesignMatrix,
@@ -112,6 +113,14 @@ class TestFit:
         square = DesignMatrix([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DomainError):
             fit(square, Sample.from_iterable([1.0, 2.0]))
+
+
+def test_a_response_of_the_wrong_length_is_an_error_in_every_entry():
+    x = DesignMatrix(np.column_stack([np.ones(6), np.arange(6.0)]))
+    y = Sample.from_iterable([1.0, 3.0, 2.0, 5.0, 4.0])
+    for run in (fit, lambda x, y: nested_f_test(NestedSpec(x, 1), y), residual_diagnostics):
+        with pytest.raises(DomainError, match="design has 6 rows but the response has 5"):
+            run(x, y)
 
 
 class TestDesignMatrixValidation:

@@ -206,6 +206,128 @@ class TestArrayPath:
             cdf_array(fisher_f(2.0, -1.0), np.array([1.0]))
 
 
+def law_level_cdf(d, x):
+    """cdf's t and F branches as they were before the shared reduction, one
+    reduction per law, kept as the oracle of `cdf`."""
+    x = float(x)
+    if d.family is Family.STUDENT_T:
+        if math.isinf(x):
+            return 1.0 if x > 0 else 0.0
+        if x == 0.0:
+            return 0.5
+        nu = d.df1
+        t2 = x * x
+        if t2 >= nu:
+            tail = 0.5 * reg_inc_beta(nu / (nu + t2), 0.5 * nu, 0.5)
+        else:
+            tail = 0.5 * (1.0 - reg_inc_beta(t2 / (nu + t2), 0.5, 0.5 * nu))
+        return 1.0 - tail if x > 0 else tail
+    if x <= 0.0:
+        return 0.0
+    if math.isinf(x):
+        return 1.0
+    d1, d2 = d.df1, d.df2
+    if d1 * x <= d2:
+        return reg_inc_beta(d1 * x / (d1 * x + d2), 0.5 * d1, 0.5 * d2)
+    return 1.0 - reg_inc_beta(d2 / (d1 * x + d2), 0.5 * d2, 0.5 * d1)
+
+
+def law_level_cdf_array(d, x):
+    """cdf_array's t and F branches as they were before the shared
+    reduction, kept as the oracle of `cdf_array`."""
+    x = np.asarray(x, dtype=np.float64)
+    if d.family is Family.STUDENT_T:
+        nu = d.df1
+        with np.errstate(over="ignore"):
+            t2 = x * x
+        far = t2 >= nu
+        near = ~far
+        tail = np.empty_like(x)
+        tail[far] = 0.5 * _reg_inc_beta_array(nu / (nu + t2[far]), 0.5 * nu, 0.5)
+        tail[near] = 0.5 * (
+            1.0 - _reg_inc_beta_array(t2[near] / (nu + t2[near]), 0.5, 0.5 * nu)
+        )
+        return np.where(x > 0, 1.0 - tail, tail)
+    d1, d2 = d.df1, d.df2
+    with np.errstate(over="ignore"):
+        dx = d1 * x
+    out = np.zeros_like(x)
+    lower = (x > 0.0) & (dx <= d2)
+    upper = dx > d2
+    out[lower] = _reg_inc_beta_array(dx[lower] / (dx[lower] + d2), 0.5 * d1, 0.5 * d2)
+    out[upper] = 1.0 - _reg_inc_beta_array(d2 / (dx[upper] + d2), 0.5 * d2, 0.5 * d1)
+    return out
+
+
+# ties of the branch split: t^2 = nu and d1 x = d2, each on both sides of 0
+# for t; the second t tie is where a split oriented as (x^2, nu) loses the
+# whole tail to cancellation
+_NU = 177.49467535905174
+TIES = [
+    (student_t(9.0), 3.0), (student_t(9.0), -3.0),
+    (student_t(_NU), math.sqrt(_NU)), (student_t(_NU), -math.sqrt(_NU)),
+    (fisher_f(100.0, 5.0), 0.05), (fisher_f(4.0, 2.0), 0.5), (fisher_f(3.0, 1.0), 1.0 / 3.0),
+]
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, 1e300, -1e300, -5e-324, 5e-324, -1.0]
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestOneReduction:
+    """t and F through `_beta_args` and one split, against the law-level
+    branches they replace: equal bit for bit, ties and special points
+    included, in both kernels."""
+
+    def test_ties_are_exact(self):
+        for d, x in TIES:
+            if d.family is Family.STUDENT_T:
+                assert x * x == d.df1
+            else:
+                assert d.df1 * x == d.df2
+
+    @pytest.mark.parametrize("d, x", TIES)
+    def test_ties_match_law_level_branches(self, d, x):
+        xs = [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+        assert _hex(cdf(d, v) for v in xs) == _hex(law_level_cdf(d, v) for v in xs)
+        assert _hex(cdf_array(d, np.array(xs))) == _hex(law_level_cdf_array(d, np.array(xs)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        family=st.sampled_from([Family.STUDENT_T, Family.FISHER_F]),
+        df1=st.floats(min_value=0.1, max_value=1000.0),
+        df2=st.floats(min_value=0.1, max_value=1000.0),
+        xs=st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=20),
+    )
+    def test_matches_law_level_branches(self, family, df1, df2, xs):
+        d = DistParams(family, df1, df2)
+        # the tie of this law and its neighbours, then the special points
+        tie = math.sqrt(df1) if family is Family.STUDENT_T else df2 / df1
+        xs = xs + [tie, -tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf)]
+        xs += SPECIAL
+        assert _hex(cdf(d, x) for x in xs) == _hex(law_level_cdf(d, x) for x in xs)
+        assert _hex(cdf_array(d, np.array(xs))) == _hex(law_level_cdf_array(d, np.array(xs)))
+
+    def test_two_dimensional_and_empty_arrays(self):
+        for d in (student_t(3.0), fisher_f(2.0, 7.0)):
+            x = np.array([SPECIAL[:3], [-2.0, 0.5, 40.0]])
+            got = cdf_array(d, x)
+            assert got.shape == (2, 3)
+            assert _hex(got.ravel()) == _hex(law_level_cdf_array(d, x).ravel())
+            assert cdf_array(d, np.empty((0, 2))).shape == (0, 2)
+
+    @pytest.mark.parametrize("d, x, want", [
+        (student_t(_NU), -math.sqrt(_NU), sst.t.cdf(-math.sqrt(_NU), _NU)),
+        (fisher_f(100.0, 5.0), 0.05, sst.f.cdf(0.05, 100.0, 5.0)),
+    ])
+    def test_tie_tails_against_scipy(self, d, x, want):
+        # both values are far below 1 (8.1e-29 and 8.9e-14), so a branch
+        # that forms them as 1 - I loses most or all of their digits
+        assert cdf(d, x) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert cdf_array(d, np.array([x]))[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 class TestRegIncGammaLower:
     def test_exponential_closed_form(self):
         # P(1, x) = 1 - e^{-x}
