@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "dataio": ("Dataset", "file_digest", "ingest_csv"),
     "diagnostics": (
-        "DiagnosticsRow", "DiagnosticsTable", "leverage",
+        "DiagnosticsRow", "DiagnosticsTable", "is_outlier", "leverage",
         "map_standardized_to_studentized", "residual_diagnostics", "residual_gaps",
     ),
     "errors": (

@@ -5,10 +5,10 @@ prints statistics at 7 significant digits; --json prints the full-precision
 AnalysisReport.  Every test report carries both statistic forms and both
 p-value routes.
 
-Exit codes: 0 success, 2 usage error, 3 data/input error (DataError or
-OSError), 4 any other NullformError (numeric or domain).  The default
-simulation seed comes from the NULLFORM_SEED environment variable when the
-flag is absent.
+Exit codes: 0 success, 1 output pipe closed by the reader, 2 usage error,
+3 data/input error (DataError or OSError), 4 any other NullformError
+(numeric or domain).  The default simulation seed comes from the
+NULLFORM_SEED environment variable when the flag is absent.
 
 Every report is assembled in `_assemble_report`: it checks alpha before any
 command runs, takes the payload each `_cmd_*(args, alpha)` returns (results,
@@ -463,7 +463,15 @@ def run_command(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: stdout is flushed again at exit, so point
+        # it at devnull first (the signal module docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

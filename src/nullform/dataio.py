@@ -169,13 +169,13 @@ def ingest_csv(
 
     With header=False columns are named col0, col1, ...  `columns` restricts
     (and orders) which numeric columns are kept; empty means all except the
-    label column.  `log_columns` natural-log transforms the named columns
-    after ingestion.  Rows with an unusable cell in a kept column are dropped
-    and counted in `dropped_rows`; row numbers in error messages count data
-    rows from 1.  The file is read once, and `digest` is the sha256 of the
-    raw bytes, a leading byte order mark included.  Bytes that are not UTF-8,
-    duplicate header names, a delimiter that is not one character and a
-    malformed or over-long CSV field are errors.
+    label column.  `log_columns` natural-log transforms each named column
+    once, after ingestion.  Rows with an unusable cell in a kept column are
+    dropped and counted in `dropped_rows`; row numbers in error messages
+    count data rows from 1.  The file is read once, and `digest` is the
+    sha256 of the raw bytes, a leading byte order mark included.  Bytes that
+    are not UTF-8, duplicate header names, a delimiter that is not one
+    character and a malformed or over-long CSV field are errors.
     """
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise DataError(f"the delimiter must be one character, got {delimiter!r}")
@@ -202,6 +202,7 @@ def ingest_csv(
     for name in keep:
         if name not in names:
             raise DataError(f"requested column {name!r} not found in {names}")
+    log_columns = tuple(dict.fromkeys(log_columns))
     for name in log_columns:
         if name not in keep:
             raise DataError(

@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import DomainError
 # fit and nested_f_test stay bound here unused: nullbench/tracing.py wraps them
-from .linmodel import (_SSE_NEGLIGIBLE_RTOL, DesignMatrix, _f_forms, _qr_and_response,
-                       _qr_with_rank_check, fit, map_fnull_to_ftrad, nested_f_test)
+from .linmodel import (DesignMatrix, _f_forms, _qr_and_response, _qr_with_rank_check, fit,
+                       map_fnull_to_ftrad, nested_f_test)
 from .sample import Sample
 # cdf stays bound here unused: nullbench/tracing.py wraps it
 from .specfun import cdf, cdf_array, student_t
@@ -112,12 +112,11 @@ def residual_diagnostics(x: DesignMatrix, y: Sample) -> DiagnosticsTable:
         raise DomainError(
             f"diagnostics need n > p + 1, got n={n} with p={p}"
         )
-    q, _, yvec = _qr_and_response(x, y)
+    q, _, yvec, tiny_sse = _qr_and_response(x, y)
     fitted = q @ (q.T @ yvec)
     e = yvec - fitted
     sse = float(e @ e)
     h = np.einsum("ij,ij->i", q, q)
-    tiny_sse = _SSE_NEGLIGIBLE_RTOL * float(yvec @ yvec)
     flagged = h >= 1.0 - _LEVERAGE_TOL
     # only tested rows are read below; the others may divide by zero
     with np.errstate(divide="ignore", invalid="ignore"):

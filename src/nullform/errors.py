@@ -4,6 +4,9 @@ The CLI maps these onto exit codes: usage errors exit 2 (argparse),
 DataError (like an OSError) exits 3, and every other NullformError exits 4.
 """
 
+__all__ = ["NullformError", "DomainError", "NumericError", "DataError",
+           "RankDeficiencyError"]
+
 
 class NullformError(Exception):
     """Base class for all errors raised by this package."""
@@ -27,9 +30,6 @@ class RankDeficiencyError(DomainError):
     Carries the label of the first offending column.
     """
 
-    def __init__(self, column: str, detail: str = ""):
+    def __init__(self, column: str):
         self.column = column
-        msg = f"design matrix is rank deficient at column {column!r}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"design matrix is rank deficient at column {column!r}")

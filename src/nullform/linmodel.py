@@ -195,12 +195,18 @@ def _qr_with_rank_check(x: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 def _qr_and_response(
     x: DesignMatrix, y: Sample
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Q, R) of x with the rank check, and y as a float64 vector of its length."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(Q, R) of x with the rank check, y as a float64 vector of its length,
+    and the exact-fit SSE threshold, which needs a finite y.y."""
     if y.n != x.n_rows:
         raise DomainError(f"design has {x.n_rows} rows but the response has {y.n}")
+    yvec = np.asarray(y.values, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        yy = float(yvec @ yvec)
+    if not math.isfinite(yy):
+        raise DomainError("the response's sum of squares y.y overflows double precision")
     q, r = _qr_with_rank_check(x)
-    return q, r, np.asarray(y.values, dtype=np.float64)
+    return q, r, yvec, _SSE_NEGLIGIBLE_RTOL * yy
 
 
 def _nested_sums(
@@ -237,7 +243,7 @@ def fit(x: DesignMatrix, y: Sample) -> FitResult:
     n, p = x.n_rows, x.n_cols
     if p >= n:
         raise DomainError(f"need p < n, got p={p} with n={n}")
-    q, r, yvec = _qr_and_response(x, y)
+    q, r, yvec, _ = _qr_and_response(x, y)
     qty = q.T @ yvec
     fitted = q @ qty
     residuals = yvec - fitted
@@ -258,10 +264,9 @@ def nested_f_test(spec: NestedSpec, y: Sample) -> NestedFTestResult:
     n, p1, p2 = spec.full.n_rows, spec.p1, spec.p2
     # X1's R diagonal is the leading part of the full one, under a threshold
     # at least as strict, so this check also covers the reduced design
-    q, _, yvec = _qr_and_response(spec.full, y)
+    q, _, yvec, tiny_sse = _qr_and_response(spec.full, y)
     sse1, sse12, ss2given1 = (float(v) for v in _nested_sums(q, p1, yvec))
 
-    tiny_sse = _SSE_NEGLIGIBLE_RTOL * float(yvec @ yvec)
     if sse1 <= tiny_sse:
         raise DomainError("reduced model already fits exactly; the F-test is undefined")
     cos2_theta = ss2given1 / sse1

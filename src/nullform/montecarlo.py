@@ -15,7 +15,8 @@ replicates are partitioned across workers, and two scenarios never share
 draws (they live in different domains).  The generator works through blocks
 of 2^16 cells, so its temporaries stay small whatever the draw size; the
 proportion scenario counts successes one block of replicates at a time
-instead of holding all replicates x n uniforms.
+instead of holding all replicates x n uniforms, and looks both z forms up
+in a table of `proportion._z_forms` over the success counts that occur.
 
 Scenario domains: 1 = response noise, 2 = design entries, 3 = Bernoulli
 trials.
@@ -38,6 +39,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .linmodel import _f_forms, _nested_sums, _null_laws
+from .proportion import _z_forms
 # cdf stays bound here unused: nullbench/tracing.py wraps it
 from .specfun import cdf, cdf_array, normal_critical, quantile
 
@@ -47,6 +49,8 @@ __all__ = [
     "SizePowerResult",
     "simulate_size_power",
     "null_law_check",
+    "normal_cells",
+    "uniform_cells",
 ]
 
 _MASK = (1 << 64) - 1
@@ -225,9 +229,9 @@ def _nested_statistics(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, int, int
 
 
 def _proportion_z(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(z_null, z_wald) per replicate for the proportion scenario."""
-    n, reps, p0 = cfg.n, cfg.replicates, cfg.p0
-    p_true = p0 + cfg.effect
+    """(z_null, z_wald) per replicate for the proportion scenario, by count."""
+    n, reps = cfg.n, cfg.replicates
+    p_true = cfg.p0 + cfg.effect
     # successes per replicate, counted one block of replicates at a time
     rows = max(1, _BLOCK_CELLS // n)
     successes = np.empty(reps, dtype=np.int64)
@@ -235,14 +239,10 @@ def _proportion_z(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
         m = min(rows, reps - lo)
         u = uniform_cells(cfg.seed, _DOMAIN_TRIALS, lo * n, m * n).reshape(m, n)
         successes[lo:lo + m] = (u < p_true).sum(axis=1)
-    p_hat = successes / n
-    z_null = (p_hat - p0) / math.sqrt(p0 * (1.0 - p0) / n)
-    wald_var = p_hat * (1.0 - p_hat) / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z_wald = (p_hat - p0) / np.sqrt(wald_var)
-    # degenerate p_hat: signed infinity, mirroring the scalar test
-    boundary = wald_var == 0.0
-    z_wald[boundary] = np.copysign(np.inf, p_hat - p0)[boundary]
+    k_min = int(successes.min())
+    table = np.array([_z_forms(k, n, cfg.p0)
+                      for k in range(k_min, int(successes.max()) + 1)]).T
+    z_null, z_wald = table[:, successes - k_min]
     return z_null, z_wald
 
 

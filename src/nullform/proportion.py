@@ -7,7 +7,9 @@ is plugged into the variance of the sample proportion:
   z_wald uses the estimated   p_hat(1-p_hat)/n.
 
 The Wald confidence interval inverts the second form.  Both two-sided
-p-values go through the chi-square(1) law of the squared statistic.
+p-values go through the chi-square(1) law of the squared statistic.  Both
+forms and the zero-Wald-variance rule are written once, in `_z_forms`,
+which `montecarlo` looks up per simulated success count.
 """
 
 from __future__ import annotations
@@ -60,6 +62,16 @@ class ProportionTestResult:
     wald_degenerate: bool
 
 
+def _z_forms(successes: int, n: int, p0: float) -> tuple[float, float]:
+    """(z_null, z_wald) of successes out of n; a zero Wald variance (p_hat
+    in {0, 1}, so p_hat != p0) makes z_wald the signed infinity."""
+    p_hat = successes / n
+    diff = p_hat - p0
+    wald_var = p_hat * (1.0 - p_hat) / n
+    z_wald = diff / math.sqrt(wald_var) if wald_var else math.copysign(math.inf, diff)
+    return diff / math.sqrt(p0 * (1.0 - p0) / n), z_wald
+
+
 def proportion_test(
     data: ProportionData, p0: float, alpha: float = 0.05
 ) -> ProportionTestResult:
@@ -76,35 +88,18 @@ def proportion_test(
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
 
-    n = data.n
     p_hat = data.p_hat
-    diff = p_hat - p0
-
-    se_null = math.sqrt(p0 * (1.0 - p0) / n)
-    z_null = diff / se_null
-    p_value_null = two_sided_normal_p(z_null)
-
-    wald_var = p_hat * (1.0 - p_hat) / n
-    degenerate = wald_var == 0.0
-    if degenerate:
-        # p0 is interior, so diff != 0 here and the sign is meaningful
-        z_wald = math.copysign(math.inf, diff)
-        p_value_wald = 0.0
-        se_wald = 0.0
-    else:
-        se_wald = math.sqrt(wald_var)
-        z_wald = diff / se_wald
-        p_value_wald = two_sided_normal_p(z_wald)
-
+    z_null, z_wald = _z_forms(data.successes, data.n, p0)
+    se_wald = math.sqrt(p_hat * (1.0 - p_hat) / data.n)
     half_width = normal_critical(alpha) * se_wald
     return ProportionTestResult(
         p_hat=p_hat,
         z_null=z_null,
         z_wald=z_wald,
-        p_value_null=p_value_null,
-        p_value_wald=p_value_wald,
+        p_value_null=two_sided_normal_p(z_null),
+        p_value_wald=two_sided_normal_p(z_wald),
         ci_lower=p_hat - half_width,
         ci_upper=p_hat + half_width,
         alpha=alpha,
-        wald_degenerate=degenerate,
+        wald_degenerate=se_wald == 0.0,
     )

@@ -8,6 +8,8 @@ from typing import Iterable, Iterator
 
 from .errors import DomainError
 
+__all__ = ["Sample"]
+
 
 @dataclass(frozen=True)
 class Sample:

@@ -87,17 +87,22 @@ def _sums_of_squares(y: Sample, mu0: float) -> tuple[float, float, float, float]
     1e-12 Pythagoras tolerance.
     """
     n = y.n
-    if max(y.values) == min(y.values):
-        # division rounding must not leak a phantom nonzero SSE on data that
-        # is exactly constant; the boundary/degenerate paths depend on this
-        ybar = y.values[0]
-        sse = 0.0
-    else:
-        ybar = math.fsum(y.values) / n
-        sse = math.fsum((v - ybar) ** 2 for v in y.values)
-    ssto = math.fsum((v - mu0) ** 2 for v in y.values)
-    sst = n * (ybar - mu0) ** 2
-    return ybar, ssto, sst, sse
+    try:
+        if max(y.values) == min(y.values):
+            # rounding must not leak a phantom nonzero SSE on exactly
+            # constant data; the boundary/degenerate paths depend on this
+            ybar = y.values[0]
+            sse = 0.0
+        else:
+            ybar = math.fsum(y.values) / n
+            sse = math.fsum((v - ybar) ** 2 for v in y.values)
+        ssto = math.fsum((v - mu0) ** 2 for v in y.values)
+        sst = n * (ybar - mu0) ** 2
+        if max(ssto, sst, sse) < math.inf:
+            return ybar, ssto, sst, sse
+    except OverflowError:
+        pass
+    raise DomainError("the sums of squares about the mean and mu0 overflow double precision")
 
 
 def t_test(y: Sample, mu0: float) -> TTestResult:

@@ -486,6 +486,57 @@ def test_exit_code_numeric(capsys, tiny_csv, tmp_path):
     ) == 4
 
 
+@pytest.mark.parametrize("command", ["ttest", "ttest_mu0", "ftest", "outliers", "plot"])
+def test_an_overflowing_sum_of_squares_exits_4(capsys, tmp_path, command):
+    path = tmp_path / "huge.csv"
+    path.write_text("y,x\n1e200,1\n-1e200,2\n3,3\n4,5\n", encoding="utf-8")
+    small = tmp_path / "small.csv"
+    small.write_text("y,x\n1,1\n2,2\n4,3\n3,5\n", encoding="utf-8")
+    argv = {
+        "ttest": ["ttest", "--input", str(path), "--column", "y", "--mu0", "0"],
+        "ttest_mu0": ["ttest", "--input", str(small), "--column", "y", "--mu0", "1e308"],
+        "ftest": ["ftest", "--input", str(path), "--response", "y", "--intercept",
+                  "--full-cols", "x"],
+        "outliers": ["outliers", "--input", str(path), "--response", "y"],
+        "plot": ["plot", "--input", str(path), "--response", "y",
+                 "--out", str(tmp_path / "p.svg")],
+    }[command]
+    assert run_command(argv) == 4
+    captured = capsys.readouterr()
+    assert "overflow" in captured.err and "double precision" in captured.err
+    assert captured.out == ""
+
+
+def test_a_repeated_log_column_takes_the_log_once(capsys, tmp_path):
+    path = tmp_path / "pos.csv"
+    path.write_text("y\n5\n6\n7\n9\n", encoding="utf-8")
+    argv = ["ttest", "--input", str(path), "--column", "y", "--mu0", "0", "--log-columns"]
+    twice = run_json(capsys, [*argv, "y,y"])["results"]
+    assert twice == run_json(capsys, [*argv, "y"])["results"]
+    assert twice["mean"] == pytest.approx(math.fsum(map(math.log, (5, 6, 7, 9))) / 4)
+
+
+def test_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
+    path = tmp_path / "tall.csv"
+    path.write_text("y,x\n" + "".join(f"{(i * 7919) % 1000 / 10},{i}\n" for i in range(2000)),
+                    encoding="utf-8")
+    # buffered stdout: unbuffered, the text layer drops the short write
+    # before the closed pipe, so nothing is raised to handle
+    env = {k: v for k, v in fresh_env().items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nullform", "outliers", "--json", "--input", str(path),
+         "--response", "y"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    # the report is several times the pipe buffer: the writer is still
+    # writing when the pipe closes
+    assert proc.stdout.read(16).startswith(b"{")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
 def test_reduced_must_be_prefix(capsys, reg_csv):
     rc = run_command(
         ["ftest", "--input", reg_csv, "--response", "y",

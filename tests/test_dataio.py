@@ -66,6 +66,13 @@ def test_log_transform(tmp_path):
     assert ds.column("y") == pytest.approx((0.0, math.log(10.0)))
 
 
+def test_a_repeated_log_column_is_transformed_once(tmp_path):
+    path = write(tmp_path, "y\n5\n6\n7\n9\n")
+    once = ingest_csv(path, log_columns=("y",))
+    assert ingest_csv(path, log_columns=("y", "y")).columns == once.columns
+    assert once.column("y") == tuple(map(math.log, (5.0, 6.0, 7.0, 9.0)))
+
+
 def test_log_transform_error_names_original_row_and_column(tmp_path):
     # data row 2 is dropped (blank y cell), so the offending -5 sits in
     # data row 3 and the message must say so, not "row 2 of the kept rows"

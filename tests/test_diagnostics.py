@@ -16,7 +16,6 @@ from nullform.cli import run_command
 from nullform.diagnostics import (
     _DIRECT_SSE12_FRAC,
     _LEVERAGE_TOL,
-    _SSE_NEGLIGIBLE_RTOL,
     DiagnosticsRow,
     DiagnosticsTable,
     is_outlier,
@@ -27,6 +26,7 @@ from nullform.diagnostics import (
 )
 from nullform.errors import DomainError
 from nullform.linmodel import (
+    _SSE_NEGLIGIBLE_RTOL,
     DesignMatrix,
     NestedSpec,
     _qr_with_rank_check,

@@ -123,6 +123,18 @@ def test_a_response_of_the_wrong_length_is_an_error_in_every_entry():
             run(x, y)
 
 
+def test_an_overflowing_sum_of_squares_is_an_error_in_every_entry():
+    x = DesignMatrix(np.column_stack([np.ones(4), [1.0, 2.0, 3.0, 5.0]]))
+    y = Sample.from_iterable([1e200, -1e200, 3.0, 4.0])
+    with pytest.raises(DomainError, match="overflow double precision"):
+        t_test(y, 0.0)
+    with pytest.raises(DomainError, match="overflow double precision"):
+        t_test(Sample.from_iterable([1.0, 2.0, 4.0, 3.0]), 1e308)
+    for run in (fit, lambda x, y: nested_f_test(NestedSpec(x, 1), y), residual_diagnostics):
+        with pytest.raises(DomainError, match=r"y\.y overflows double precision"):
+            run(x, y)
+
+
 class TestDesignMatrixValidation:
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):

@@ -66,18 +66,24 @@ class TestGenerator:
         assert np.array_equal(uniform_cells(seed=9, domain=1, start=start, count=count),
                               _to_unit(_raw(keys, 0)))
 
-    @pytest.mark.parametrize("replicates, n", [(10_000, 30), (3, _BLOCK_CELLS + 7)])
-    def test_blocked_proportion_matches_one_array(self, replicates, n):
+    @pytest.mark.parametrize("replicates, n, p0", [
+        pytest.param(10_000, 30, 0.3, id="10000-30"),
+        pytest.param(3, _BLOCK_CELLS + 7, 0.3, id=f"3-{_BLOCK_CELLS + 7}"),
+        # degenerate counts: every p_hat is 0 or 1 at n = 1, and most are 0
+        # at n = 3 with p0 = 0.02
+        (1000, 1, 0.3), (1000, 3, 0.02),
+    ])
+    def test_blocked_proportion_matches_one_array(self, replicates, n, p0):
         # blocks of replicates (several blocks; one replicate per block when
         # n exceeds a block) give the z statistics of a single draw
         cfg = SimConfig(replicates=replicates, seed=4, n=n, scenario=Scenario.PROPORTION,
-                        p0=0.3, effect=0.02)
+                        p0=p0, effect=0.02)
         u = uniform_cells(cfg.seed, 3, 0, replicates * n).reshape(replicates, n)
         p_hat = (u < cfg.p0 + cfg.effect).sum(axis=1) / n
         z_null, z_wald = _proportion_z(cfg)
-        assert np.array_equal(z_null, (p_hat - 0.3) / math.sqrt(0.3 * 0.7 / n))
+        assert np.array_equal(z_null, (p_hat - p0) / math.sqrt(p0 * (1.0 - p0) / n))
         with np.errstate(divide="ignore"):
-            assert np.array_equal(z_wald, (p_hat - 0.3) / np.sqrt(p_hat * (1.0 - p_hat) / n))
+            assert np.array_equal(z_wald, (p_hat - p0) / np.sqrt(p_hat * (1.0 - p_hat) / n))
 
     def test_domains_are_independent_streams(self):
         a = uniform_cells(seed=9, domain=1, start=0, count=100)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ EXPORTS = {
     "REPORT_VERSION", "RankDeficiencyError", "Sample", "Scenario", "SimConfig",
     "SizePowerResult", "TTestResult", "__version__", "beta_params", "cdf",
     "cdf_array", "chi_square", "emit_residual_plots", "f_geometry", "file_digest",
-    "fisher_f", "fit", "geometry", "ingest_csv", "leverage", "log_beta",
+    "fisher_f", "fit", "geometry", "ingest_csv", "is_outlier", "leverage", "log_beta",
     "log_gamma", "lrt_ratio", "map_critical_value", "map_fnull_to_ftrad",
     "map_standardized_to_studentized", "map_t0_to_t", "nested_f_test",
     "normal_cells", "normal_critical", "null_law_check", "pdf", "proportion_test",
@@ -74,3 +75,10 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         nullform.no_such_name
     assert not hasattr(nullform, "Tracer")
+
+
+@pytest.mark.parametrize("module", sorted(nullform._EXPORTS))
+def test_each_module_exports_what_the_package_lists(module):
+    names = import_module(f"nullform.{module}").__all__
+    assert sorted(names) == sorted(nullform._EXPORTS[module])
+    assert len(set(names)) == len(names)

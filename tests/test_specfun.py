@@ -17,8 +17,13 @@ from scipy import stats as sst
 
 from nullform.errors import DomainError
 from nullform.specfun import (
+    _CF_MAX_ITER,
+    _CF_TOL,
+    _TINY,
     DistParams,
     Family,
+    _beta_cf,
+    _beta_cf_array,
     _reg_inc_beta_array,
     beta_params,
     cdf,
@@ -326,6 +331,107 @@ class TestOneReduction:
         # that forms them as 1 - I loses most or all of their digits
         assert cdf(d, x) == pytest.approx(want, rel=1e-12, abs=0.0)
         assert cdf_array(d, np.array([x]))[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def two_step_beta_cf(a, b, x):
+    """_beta_cf as it was with its even and odd Lentz half-steps written out
+    in full, kept as the oracle of `_beta_cf`."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _TINY:
+        d = _TINY
+    d = 1.0 / d
+    h = d
+    for m in range(1, _CF_MAX_ITER + 1):
+        m2 = 2 * m
+        # even step
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _TINY:
+            d = _TINY
+        c = 1.0 + aa / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        h *= d * c
+        # odd step
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _TINY:
+            d = _TINY
+        c = 1.0 + aa / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _CF_TOL:
+            return h
+    raise AssertionError("no convergence")
+
+
+def two_step_beta_cf_array(a, b, x):
+    """_beta_cf_array as it was with its half-steps written out in full, kept
+    as the oracle of `_beta_cf_array`."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    out = np.empty_like(x)
+    live = np.arange(x.size)
+    c = np.ones_like(x)
+    d = 1.0 - qab * x / qap
+    d = 1.0 / np.where(np.abs(d) < _TINY, _TINY, d)
+    h = d
+    m = 0
+    while live.size:
+        m += 1
+        assert m <= _CF_MAX_ITER
+        m2 = 2 * m
+        # even step
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        d = np.where(np.abs(d) < _TINY, _TINY, d)
+        c = 1.0 + aa / c
+        c = np.where(np.abs(c) < _TINY, _TINY, c)
+        d = 1.0 / d
+        h = h * (d * c)
+        # odd step
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        d = np.where(np.abs(d) < _TINY, _TINY, d)
+        c = 1.0 + aa / c
+        c = np.where(np.abs(c) < _TINY, _TINY, c)
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        done = np.abs(delta - 1.0) < _CF_TOL
+        if done.any():
+            out[live[done]] = h[done]
+            keep = ~done
+            live, x, c, d, h = live[keep], x[keep], c[keep], d[keep], h[keep]
+    return out
+
+
+class TestLentzHalfSteps:
+    """Each kernel's half-steps, looped over the step's two coefficients,
+    against the two written out in full: equal bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.floats(min_value=0.01, max_value=1e4),
+        b=st.floats(min_value=0.01, max_value=1e4),
+        fractions=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+                           min_size=1, max_size=20),
+    )
+    def test_matches_the_written_out_half_steps(self, a, b, fractions):
+        # x up to the crossover (a+1)/(a+b+2), where reg_inc_beta calls the
+        # fraction directly; the tail call swaps a and b at 1 - x
+        xs = np.array(fractions) * ((a + 1.0) / (a + b + 2.0))
+        assert _hex(_beta_cf(a, b, x) for x in xs) == _hex(two_step_beta_cf(a, b, x) for x in xs)
+        assert _hex(_beta_cf_array(a, b, xs)) == _hex(two_step_beta_cf_array(a, b, xs))
 
 
 class TestRegIncGammaLower:
