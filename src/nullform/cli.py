@@ -20,6 +20,7 @@ errors, proportion, report, sample, specfun, ttest).  linmodel, diagnostics,
 montecarlo and svgplot load numpy, so each command imports the ones it uses
 when it runs and calls their functions through the module: ttest and
 proptest never load numpy, and ftest loads neither montecarlo nor svgplot.
+The ten names the benchmark tracer rebinds here are slots bound to None.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import argparse
 import math
 import os
 import sys
-from importlib import import_module
 from typing import TYPE_CHECKING
 
 from .dataio import Dataset, ingest_csv
@@ -49,33 +49,10 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-# Names that nullbench/tracing.py reads and rebinds on this module, and the
-# module defining each.  Nothing here calls them: a binding read while the
-# defining module's copy was already wrapped would stay wrapped after
-# `uninstall`, so commands call the defining module's function instead.
-# ROADMAP item 5's tracer repair (skip a missing binding) deletes this table
-# and __getattr__.
-_TRACED_HOLDERS = {
-    "file_digest": "dataio",
-    "geometry": "ttest",
-    "fit": "linmodel",
-    "nested_f_test": "linmodel",
-    "f_geometry": "linmodel",
-    "residual_diagnostics": "diagnostics",
-    "residual_gaps": "diagnostics",
-    "simulate_size_power": "montecarlo",
-    "null_law_check": "montecarlo",
-    "emit_residual_plots": "svgplot",
-}
-
-
-def __getattr__(name: str):
-    module = _TRACED_HOLDERS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __package__), name)
-    globals()[name] = value
-    return value
+# Slots nullbench/tracing.py rebinds while it traces an op.  Not imports: binding
+# the real functions would load numpy on the ttest/proptest path.
+(file_digest, geometry, fit, nested_f_test, f_geometry, residual_diagnostics,
+ residual_gaps, simulate_size_power, null_law_check, emit_residual_plots) = (None,) * 10
 
 
 # --scenario choice -> montecarlo.Scenario value
@@ -463,6 +440,9 @@ def run_command(argv) -> int:
 
 
 def main() -> None:
+    out = sys.stdout
+    if out.write_through:  # -u: raw stdout drops a short write; buffered, a closed pipe raises
+        sys.stdout = open(out.fileno(), "w", 1, out.encoding, out.errors, closefd=False)
     try:
         code = run_command(sys.argv[1:])
         sys.stdout.flush()

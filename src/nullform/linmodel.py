@@ -29,6 +29,7 @@ one-sample t-test the exact special case X = 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -197,7 +198,13 @@ def _qr_and_response(
     x: DesignMatrix, y: Sample
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """(Q, R) of x with the rank check, y as a float64 vector of its length,
-    and the exact-fit SSE threshold, which needs a finite y.y."""
+    and the exact-fit SSE threshold 1e-24 y.y.
+
+    y.y must be finite, and for a response that is not all zero the threshold
+    must be at least 2^-1022: below it the sums of squares it is compared
+    with are subnormal and have lost their relative precision.  Either
+    failure is a DomainError.
+    """
     if y.n != x.n_rows:
         raise DomainError(f"design has {x.n_rows} rows but the response has {y.n}")
     yvec = np.asarray(y.values, dtype=np.float64)
@@ -205,8 +212,13 @@ def _qr_and_response(
         yy = float(yvec @ yvec)
     if not math.isfinite(yy):
         raise DomainError("the response's sum of squares y.y overflows double precision")
+    tiny_sse = _SSE_NEGLIGIBLE_RTOL * yy
+    if tiny_sse < sys.float_info.min and yvec.any():
+        raise DomainError(
+            "the response's exact-fit threshold 1e-24 y.y underflows double precision"
+        )
     q, r = _qr_with_rank_check(x)
-    return q, r, yvec, _SSE_NEGLIGIBLE_RTOL * yy
+    return q, r, yvec, tiny_sse
 
 
 def _nested_sums(

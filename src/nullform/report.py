@@ -64,17 +64,7 @@ class AnalysisReport:
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
-        raw = json.loads(text)
-        return cls(
-            test=raw["test"],
-            command=tuple(raw["command"]),
-            alpha=raw["alpha"],
-            results=raw["results"],
-            decisions=raw["decisions"],
-            input_digest=raw.get("input_digest"),
-            diagnostics=(
-                tuple(raw["diagnostics"]) if raw.get("diagnostics") is not None else None
-            ),
-            warnings=tuple(raw.get("warnings", ())),
-            version=raw.get("version", REPORT_VERSION),
-        )
+        """Parse to_json output; __post_init__ turns its lists back into tuples,
+        and a key that is not a field (report.schema.json forbids one) raises
+        TypeError."""
+        return cls(**json.loads(text))

@@ -21,6 +21,7 @@ must agree; nothing here shortcuts one through the other.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -76,7 +77,11 @@ class Geometry(NamedTuple):
     @classmethod
     def from_result(cls, res: TTestResult) -> "Geometry":
         """The angle and SS fields of a t-test already run (see geometry)."""
-        return _geometry(res.df + 1, res.mu0, res.mean, res.ssto, res.sst, res.sse)
+        if res.degenerate:
+            raise DomainError("geometry is undefined when every value equals mu0")
+        cos_theta = math.sqrt(res.df + 1) * (res.mean - res.mu0) / math.sqrt(res.ssto)
+        cos_theta = max(-1.0, min(1.0, cos_theta))
+        return cls(math.acos(cos_theta), res.ssto, res.sst, res.sse)
 
 
 def _sums_of_squares(y: Sample, mu0: float) -> tuple[float, float, float, float]:
@@ -85,10 +90,17 @@ def _sums_of_squares(y: Sample, mu0: float) -> tuple[float, float, float, float]
     SSE uses the two-pass centered algorithm: the one-pass expansion
     sum(y^2) - n ybar^2 cancels catastrophically and would not survive the
     1e-12 Pythagoras tolerance.
+
+    A sum that overflows is a DomainError, and so is one that underflows:
+    SSTO < n 2^-1022 with some value != mu0, or SSE < n 2^-1022 with the
+    values not all equal.  Below that bound the squared terms are subnormal
+    and the sums lose their relative precision (at 0 they would pass for
+    degenerate or boundary data).
     """
     n = y.n
+    lo, hi = min(y.values), max(y.values)
     try:
-        if max(y.values) == min(y.values):
+        if hi == lo:
             # rounding must not leak a phantom nonzero SSE on exactly
             # constant data; the boundary/degenerate paths depend on this
             ybar = y.values[0]
@@ -99,6 +111,11 @@ def _sums_of_squares(y: Sample, mu0: float) -> tuple[float, float, float, float]
         ssto = math.fsum((v - mu0) ** 2 for v in y.values)
         sst = n * (ybar - mu0) ** 2
         if max(ssto, sst, sse) < math.inf:
+            tiny = n * sys.float_info.min
+            if sse < tiny and hi != lo or ssto < tiny and not lo == hi == mu0:
+                raise DomainError(
+                    "the sums of squares about the mean and mu0 underflow double precision"
+                )
             return ybar, ssto, sst, sse
     except OverflowError:
         pass
@@ -206,17 +223,4 @@ def geometry(y: Sample, mu0: float) -> Geometry:
     theta is in [0, pi]; values above pi/2 mean the sample mean falls below
     mu0.  cos^2(theta) = SST/SSTO and T0^2 = n cos^2(theta).
     """
-    mu0 = float(mu0)
-    if not math.isfinite(mu0):
-        raise DomainError(f"mu0 must be finite, got {mu0!r}")
-    return _geometry(y.n, mu0, *_sums_of_squares(y, mu0))
-
-
-def _geometry(
-    n: int, mu0: float, ybar: float, ssto: float, sst: float, sse: float
-) -> Geometry:
-    if ssto == 0.0:
-        raise DomainError("geometry is undefined when every value equals mu0")
-    cos_theta = math.sqrt(n) * (ybar - mu0) / math.sqrt(ssto)
-    cos_theta = max(-1.0, min(1.0, cos_theta))
-    return Geometry(math.acos(cos_theta), ssto, sst, sse)
+    return Geometry.from_result(t_test(y, mu0))

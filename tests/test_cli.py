@@ -486,12 +486,21 @@ def test_exit_code_numeric(capsys, tiny_csv, tmp_path):
     ) == 4
 
 
-@pytest.mark.parametrize("command", ["ttest", "ttest_mu0", "ftest", "outliers", "plot"])
+@pytest.mark.parametrize("command", ["ttest", "ttest_mu0", "ftest", "outliers", "plot",
+                                     "ttest_1e-320", "ttest_1e-160", "ftest_1e-170",
+                                     "outliers_1e-170"])
 def test_an_overflowing_sum_of_squares_exits_4(capsys, tmp_path, command):
     path = tmp_path / "huge.csv"
     path.write_text("y,x\n1e200,1\n-1e200,2\n3,3\n4,5\n", encoding="utf-8")
     small = tmp_path / "small.csv"
     small.write_text("y,x\n1,1\n2,2\n4,3\n3,5\n", encoding="utf-8")
+    # sums of squares that underflow: 1e-320 squares to 0, 1e-160 to a subnormal
+    tiny = {}
+    for scale in ("1e-320", "1e-160", "1e-170"):
+        tiny[scale] = tmp_path / f"tiny{scale}.csv"
+        tiny[scale].write_text(
+            "y,x\n" + "".join(f"{v}{scale[1:]},{v + 1}\n" for v in (1, 2, 4, 3)),
+            encoding="utf-8")
     argv = {
         "ttest": ["ttest", "--input", str(path), "--column", "y", "--mu0", "0"],
         "ttest_mu0": ["ttest", "--input", str(small), "--column", "y", "--mu0", "1e308"],
@@ -500,10 +509,18 @@ def test_an_overflowing_sum_of_squares_exits_4(capsys, tmp_path, command):
         "outliers": ["outliers", "--input", str(path), "--response", "y"],
         "plot": ["plot", "--input", str(path), "--response", "y",
                  "--out", str(tmp_path / "p.svg")],
+        "ttest_1e-320": ["ttest", "--input", str(tiny["1e-320"]), "--column", "y",
+                         "--mu0", "0"],
+        "ttest_1e-160": ["ttest", "--input", str(tiny["1e-160"]), "--column", "y",
+                         "--mu0", "0"],
+        "ftest_1e-170": ["ftest", "--input", str(tiny["1e-170"]), "--response", "y",
+                         "--intercept", "--full-cols", "x"],
+        "outliers_1e-170": ["outliers", "--input", str(tiny["1e-170"]), "--response", "y"],
     }[command]
     assert run_command(argv) == 4
     captured = capsys.readouterr()
-    assert "overflow" in captured.err and "double precision" in captured.err
+    flow = "underflow" if "_1e-" in command else "overflow"
+    assert flow in captured.err and "double precision" in captured.err
     assert captured.out == ""
 
 
@@ -516,13 +533,16 @@ def test_a_repeated_log_column_takes_the_log_once(capsys, tmp_path):
     assert twice["mean"] == pytest.approx(math.fsum(map(math.log, (5, 6, 7, 9))) / 4)
 
 
-def test_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_pipe_exits_1_without_a_traceback(tmp_path, unbuffered):
     path = tmp_path / "tall.csv"
     path.write_text("y,x\n" + "".join(f"{(i * 7919) % 1000 / 10},{i}\n" for i in range(2000)),
                     encoding="utf-8")
-    # buffered stdout: unbuffered, the text layer drops the short write
-    # before the closed pipe, so nothing is raised to handle
+    # unbuffered, stdout's text layer sits on the raw file and would ignore
+    # the short write before the closed pipe; main must still exit 1
     env = {k: v for k, v in fresh_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-m", "nullform", "outliers", "--json", "--input", str(path),
          "--response", "y"],
@@ -657,8 +677,8 @@ def test_cold_process_matches_warm_in_process_bytes(capsys, monkeypatch, cold_cs
     assert "--scenario {f,proportion,t}" in cold.stdout.decode()
 
 
-# Runs one ftest under the benchmark's tracer in a process that has never read
-# cli.fit or cli.nested_f_test, then one untraced ftest after `uninstall`.
+# Runs one ftest under the benchmark's tracer in a fresh process, then one
+# untraced ftest after `uninstall`.
 TRACED_FRESH = """
 import contextlib, importlib.util, io, json, sys
 spec = importlib.util.spec_from_file_location("nullbench_tracing", sys.argv[1])
@@ -681,7 +701,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 counts = tracing.counts_by_command(tracer.spans, {0: "ftest"})["ftest"]
 print(json.dumps({"fit": counts["fit"], "nested_f_test": counts["nested_f_test"],
                   "untraced_spans": len(tracer.spans) - traced,
-                  "holder_left_wrapped": cli.nested_f_test is not linmodel.nested_f_test}))
+                  "slot_restored": cli.nested_f_test is None}))
 """
 
 
@@ -691,7 +711,6 @@ def test_tracer_in_a_fresh_process_counts_once_and_uninstalls(reg_csv):
     out = run_fresh(TRACED_FRESH, str(TRACING_PATH), *argv)
     assert out["fit"] == [0]
     assert out["nested_f_test"] == [1]
-    # install read cli's holder after wrapping linmodel's copy, so uninstall
-    # left the holder wrapped: cli must not call through it
-    assert out["holder_left_wrapped"]
+    # cli's slot held None before install, and uninstall put None back
+    assert out["slot_restored"]
     assert out["untraced_spans"] == 0

@@ -33,6 +33,16 @@ def test_round_trip_is_exact():
     assert again.to_json() == report.to_json()
 
 
+def test_from_json_fills_defaults_and_rejects_unknown_keys():
+    raw = json.loads(sample_report().to_json())
+    for key in ("input_digest", "diagnostics", "warnings", "version"):
+        del raw[key]
+    assert AnalysisReport.from_json(json.dumps(raw)) == sample_report(
+        input_digest=None, warnings=())
+    with pytest.raises(TypeError, match="extra"):
+        AnalysisReport.from_json(json.dumps({**raw, "extra": 1}))
+
+
 def test_to_json_bytes_pinned():
     report = sample_report(
         alpha=0.1,
