@@ -29,6 +29,7 @@ import argparse
 import math
 import os
 import sys
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .dataio import Dataset, ingest_csv
@@ -88,8 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, with_input=True)
     p.add_argument("--mu0", type=float, required=True, help="hypothesized mean")
     p.add_argument("--column", default=None,
-                   help="response column (default: the first column; leaving it "
-                        "out ingests every column)")
+                   help="response column (default: the first column other than "
+                        "--label-column)")
 
     p = sub.add_parser("proptest", help="one-sample proportion test, both forms")
     add_common(p, with_input=False)
@@ -146,14 +147,14 @@ def _split_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _load_dataset(args: argparse.Namespace, used: tuple[str, ...] = ()) -> Dataset:
+def _load_dataset(args: argparse.Namespace, used: tuple[str | int, ...] = ()) -> Dataset:
     """Ingest the columns a command uses plus any --log-columns, so a blank in
-    another column drops no row; empty `used` ingests every column."""
+    another column drops no row; a column in `used` is a name or a position
+    among the non-label columns, and empty `used` ingests every column."""
     log_columns = tuple(_split_list(args.log_columns))
-    columns: tuple[str, ...] = ()
+    columns: tuple[str | int, ...] = ()
     if used:
-        wanted = (*used, *log_columns)
-        columns = tuple(dict.fromkeys(n for n in wanted if n != args.label_column))
+        columns = tuple(n for n in (*used, *log_columns) if n != args.label_column)
     return ingest_csv(
         args.input,
         delimiter=args.delimiter,
@@ -189,7 +190,8 @@ def _design_from(
 
 
 def _cmd_ttest(args, alpha: float):
-    dataset = _load_dataset(args, (args.column,) if args.column else ())
+    # without --column the first non-label column, by position, and no other
+    dataset = _load_dataset(args, (args.column or 0,))
     column = args.column or dataset.column_names[0]
     sample = Sample(dataset.column(column))
     res = t_test(sample, args.mu0)
@@ -285,9 +287,12 @@ def _cmd_outliers(args, alpha: float):
             {"label": labels[i], "gap": g} for i, g in diagnostics.residual_gaps(table)
         ],
     }
-    # report columns are the DiagnosticsRow fields plus the row label
-    rows = tuple({"label": labels[r.index], **vars(r)} for r in table.rows)
-    return results, {"any_outlier": bool(outliers)}, dataset, rows
+    # report rows are the row label plus the DiagnosticsRow fields; only a
+    # flagged row holds NaN (its undefined fields), set to None here once
+    rows = [{"label": label, **vars(row)} for label, row in zip(labels, table.rows)]
+    for row in filter(itemgetter("flagged"), rows):
+        row.update({k: None for k, v in row.items() if v != v})
+    return results, {"any_outlier": bool(outliers)}, dataset, tuple(rows)
 
 
 def _cmd_simulate(args, alpha: float):

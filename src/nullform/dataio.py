@@ -161,16 +161,18 @@ def ingest_csv(
     path: str | Path,
     delimiter: str = ",",
     header: bool = True,
-    columns: Sequence[str] = (),
+    columns: Sequence[str | int] = (),
     log_columns: Sequence[str] = (),
     label_column: str | None = None,
 ) -> Dataset:
     """Read a delimited text file into a Dataset.
 
     With header=False columns are named col0, col1, ...  `columns` restricts
-    (and orders) which numeric columns are kept; empty means all except the
-    label column.  `log_columns` natural-log transforms each named column
-    once, after ingestion.  Rows with an unusable cell in a kept column are
+    (and orders) which numeric columns are kept, each by name or by its
+    position among the columns other than the label column, and keeps a
+    column named twice once; empty means all except the label column.
+    `log_columns` natural-log transforms each named column once, after
+    ingestion.  Rows with an unusable cell in a kept column are
     dropped and counted in `dropped_rows`; row numbers in error messages
     count data rows from 1.  The file is read once, and `digest` is the
     sha256 of the raw bytes, a leading byte order mark included.  Bytes that
@@ -198,7 +200,12 @@ def ingest_csv(
 
     if label_column is not None and label_column not in names:
         raise DataError(f"label column {label_column!r} not found in {names}")
-    keep = list(columns) if columns else [n for n in names if n != label_column]
+    numeric = [n for n in names if n != label_column]
+    for c in columns:
+        if isinstance(c, int) and not 0 <= c < len(numeric):
+            raise DataError(f"no column at position {c} among {numeric}")
+    keep = list(dict.fromkeys(numeric[c] if isinstance(c, int) else c for c in columns))
+    keep = keep or numeric
     for name in keep:
         if name not in names:
             raise DataError(f"requested column {name!r} not found in {names}")

@@ -31,6 +31,8 @@ _TICKS = 10
 
 _POINT_STYLE = 'fill="#44709d"'
 _OUTLIER_STYLE = 'fill="#b83232"'
+# a point that is not an outlier; %.2f formats as _fmt does
+_CIRCLE = f'<circle cx="%.2f" cy="%.2f" r="3" {_POINT_STYLE}/>'
 
 
 def escape(text: str) -> str:
@@ -123,10 +125,9 @@ class _Panel:
             )
         return out
 
-    def point(self, x: float, y: float, outlier: bool, label: str) -> list[str]:
+    def diamond(self, x: float, y: float, label: str) -> list[str]:
+        """An outlier: a filled diamond and its label."""
         xp, yp = self.px(x), self.py(y)
-        if not outlier:
-            return [f'<circle cx="{_fmt(xp)}" cy="{_fmt(yp)}" r="3" {_POINT_STYLE}/>']
         d = 5.0
         diamond = (
             f"M {_fmt(xp)} {_fmt(yp - d)} L {_fmt(xp + d)} {_fmt(yp)} "
@@ -190,9 +191,14 @@ def emit_residual_plots(
     for k, (title, ys) in enumerate(series):
         panel = _Panel(k % 2, k // 2, title, x_range, _axis_range(ys))
         parts.extend(panel.frame("fitted value", title))
+        px, py = panel.px, panel.py
         for (x, outlier, name), y in zip(marks, compress(ys, x_finite)):
-            if math.isfinite(y):
-                parts.extend(panel.point(x, y, outlier, name))
+            if not math.isfinite(y):
+                continue
+            if outlier:
+                parts.extend(panel.diamond(x, y, name))
+            else:
+                parts.append(_CIRCLE % (px(x), py(y)))
     parts.append("</svg>")
     document = "\n".join(parts) + "\n"
 

@@ -385,6 +385,29 @@ def test_blank_in_unused_column_drops_no_row(capsys, tmp_path, command):
     assert payload["warnings"] == []
 
 
+def test_ttest_without_column_ingests_only_the_first_column(capsys, tmp_path):
+    # the blank in b dropped its row while the default read every column
+    path = tmp_path / "ab.csv"
+    path.write_text("a,b\n1,2\n2,\n3,4\n5,6\n", encoding="utf-8")
+    argv = ["ttest", "--input", str(path), "--mu0", "0"]
+    default = run_json(capsys, argv)
+    named = run_json(capsys, [*argv, "--column", "a"])
+    assert default["results"]["n"] == 4 and default["results"]["mean"] == 2.75
+    assert default["warnings"] == []
+    assert default["results"] == named["results"]
+    # the first column is the first one other than the label column, and a
+    # --log-columns column is still ingested, so its blank drops its row
+    path.write_text("name,a,b\nw,1,2\nx,2,\ny,3,4\nz,5,6\n", encoding="utf-8")
+    argv = [*argv, "--label-column", "name"]
+    assert run_json(capsys, argv)["results"]["n"] == 4
+    logged = run_json(capsys, [*argv, "--log-columns", "b"])
+    assert logged["results"]["column"] == "a" and logged["results"]["n"] == 3
+    # a file holding only the label column has no first column
+    path.write_text("name\nw\nx\n", encoding="utf-8")
+    assert run_command(argv) == 3
+    assert "no column at position 0" in capsys.readouterr().err
+
+
 def test_bom_file(capsys, tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbfy,x\n1,1\n2,1\n4,1\n")

@@ -61,6 +61,17 @@ def test_column_selection_restricts_and_orders(tmp_path):
     assert ds.column("a") == (1.0, 4.0)
 
 
+def test_column_selection_by_position_among_the_non_label_columns(tmp_path):
+    path = write(tmp_path, "name,a,b\nx,1,2\ny,3,4\n")
+    ds = ingest_csv(path, columns=(0, "b"), label_column="name")
+    assert ds.column_names == ("a", "b")
+    # a column given by position and by name is kept once
+    assert ingest_csv(path, columns=(1, "b"), label_column="name").column_names == ("b",)
+    assert ingest_csv(path, columns=(1,)).column_names == ("a",)
+    with pytest.raises(DataError, match="no column at position 2"):
+        ingest_csv(path, columns=(2,), label_column="name")
+
+
 def test_log_transform(tmp_path):
     ds = ingest_csv(write(tmp_path, "y\n1\n10\n"), log_columns=("y",))
     assert ds.column("y") == pytest.approx((0.0, math.log(10.0)))

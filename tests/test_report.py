@@ -1,11 +1,17 @@
 """Report serialization: canonical, byte-deterministic, exact round trip."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nullform import cli
+from nullform.diagnostics import DiagnosticsRow
 from nullform.report import REPORT_VERSION, AnalysisReport
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "report.schema.json"
@@ -143,3 +149,121 @@ def test_schema_rejects_extra_top_level_key():
     payload["extra"] = 1
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(payload, schema)
+
+
+# the DiagnosticsRow fields a flagged row leaves undefined (NaN)
+FLAGGED_NAN_FIELDS = ("standardized", "studentized", "outlier_p_value",
+                      "bonferroni_p_value", "gap")
+
+
+def oracle(report):
+    """The bytes to_json promises: the pure-Python indent-2 encoder."""
+    payload = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+# strings that stress the row-boundary rewrite and the escapes
+TRICKY_TEXT = st.text(alphabet=st.sampled_from(
+    ['"', "\\", "}", ",", "{", "[", "]", "\n", " ", ":", "a", "é", "中", " ", "😀"]),
+    max_size=8) | st.sampled_from(["},", '},\n    {', "}]", "null", ""])
+KEYS = TRICKY_TEXT | st.text(max_size=4)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=10**20, max_value=10**40),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-7]),
+    TRICKY_TEXT,
+)
+FLAT_ROW = st.dictionaries(KEYS, SCALARS, min_size=1, max_size=6)
+PAYLOAD = st.recursive(
+    SCALARS | FLAT_ROW | st.lists(FLAT_ROW, max_size=4),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(KEYS, inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(results=st.dictionaries(KEYS, PAYLOAD, max_size=6),
+       rows=st.none() | st.lists(FLAT_ROW, max_size=5) | st.lists(PAYLOAD, max_size=3))
+def test_to_json_equals_the_indent_encoder(results, rows):
+    report = sample_report(results=results, decisions={"k": results},
+                           diagnostics=None if rows is None else tuple(rows))
+    text = report.to_json()
+    assert text == oracle(report)
+    assert json.loads(text)["results"] == json.loads(json.dumps(results))
+    assert AnalysisReport.from_json(text) == report
+
+
+def test_empty_containers_and_lists_of_rows():
+    report = sample_report(
+        results={"e": {}, "l": [], "t": (), "nested": [[], {}, [{}], [[]]],
+                 "rows": [{"a": 1}, {"b": "x"}], "mixed": [{"a": 1}, {}, 2]},
+        diagnostics=({"a": -0.0, "s": "},\n  {"}, {"a": 5e-324, "s": None}),
+    )
+    assert report.to_json() == oracle(report)
+
+
+def raw_outlier_rows(n, sign, seed=3):
+    """n rows on the exact line y = 1 + 2 x but for row 0, which sits 5 * sign
+    off it, so deleting row 0 leaves an exact fit (studentized +-inf); the
+    indicator column d gives row 7 leverage 1 (flagged)."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 10.0, n)
+    y = 1.0 + 2.0 * x
+    y[0] += 5.0 * sign
+    d = np.zeros(n)
+    d[7] = 1.0
+    return ["name,y,x1,d"] + [f"r{i},{a!r},{b!r},{c!r}" for i, (a, b, c) in
+                              enumerate(zip(y.tolist(), x.tolist(), d.tolist()))]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_outliers_report_of_2000_rows_matches_the_indent_encoder(tmp_path, sign):
+    path = tmp_path / "line.csv"
+    path.write_text("\n".join(raw_outlier_rows(2000, sign)) + "\n", encoding="utf-8")
+    argv = ["outliers", "--input", str(path), "--response", "y", "--label-column", "name"]
+    report, (_, raw) = cli._assemble_report(cli._build_parser().parse_args(argv), argv)
+    assert raw[0]["studentized"] == sign * math.inf and raw[0]["gap"] == math.inf
+    assert raw[7]["flagged"]
+    text = report.to_json()
+    assert text == oracle(report)
+    rows = json.loads(text)["diagnostics"]
+    assert rows[0]["studentized"] is None and rows[0]["gap"] is None
+    assert rows[0]["standardized"] is not None and rows[0]["outlier_p_value"] == 0.0
+    assert AnalysisReport.from_json(text) == report
+    assert AnalysisReport.from_json(text).to_json() == text
+
+
+def test_flagged_rows_read_null_in_every_undefined_field(tmp_path):
+    path = tmp_path / "line.csv"
+    path.write_text("\n".join(raw_outlier_rows(40, 1.0)) + "\n", encoding="utf-8")
+    argv = ["outliers", "--input", str(path), "--response", "y", "--label-column", "name"]
+    report, (_, raw) = cli._assemble_report(cli._build_parser().parse_args(argv), argv)
+    # the rows reach the report with None already set from the flagged mask
+    assert [r["flagged"] for r in raw] == [i == 7 for i in range(40)]
+    for name in FLAGGED_NAN_FIELDS:
+        assert raw[7][name] is None and report.diagnostics[7][name] is None
+    assert raw[7]["leverage"] == pytest.approx(1.0) and report.diagnostics[7]["label"] == "r7"
+    assert all(raw[i][name] is not None for i in range(1, 40) if i != 7
+               for name in FLAGGED_NAN_FIELDS)
+
+
+def test_raw_rows_holding_nan_and_inf_are_canonicalized():
+    # a report built from DiagnosticsRow fields as the table holds them: NaN
+    # on a flagged row, +-inf on an exact-fit deletion
+    flagged = DiagnosticsRow(0, 1.0, 0.0, *[math.nan] * 5, flagged=True)
+    exact = DiagnosticsRow(1, 0.5, 0.25, 0.5, -math.inf, 0.0, 0.0, math.inf)
+    plain = DiagnosticsRow(2, 0.25, 1.5, 0.75, 0.8, 0.5, 1.0, 0.05)
+    rows = tuple({"label": str(r.index), **vars(r)} for r in (flagged, exact, plain))
+    report = sample_report(diagnostics=rows)
+    assert [report.diagnostics[0][k] for k in FLAGGED_NAN_FIELDS] == [None] * 5
+    assert report.diagnostics[1]["studentized"] is None and report.diagnostics[1]["gap"] is None
+    assert report.diagnostics[2] == rows[2]
+    # the caller's rows are copied, not adopted
+    assert report.diagnostics[2] is not rows[2]
+    assert rows[0]["gap"] != rows[0]["gap"]
+    assert report.to_json() == oracle(report)
+    assert AnalysisReport.from_json(report.to_json()) == report
