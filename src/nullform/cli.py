@@ -10,8 +10,14 @@ Exit codes: 0 success, 1 output pipe closed by the reader, 2 usage error,
 (numeric or domain).  The default simulation seed comes from the
 NULLFORM_SEED environment variable when the flag is absent.
 
+One parser per process: `_build_parser` is cached, and each parse gets a fresh
+Namespace.  Three add_help=False parents declare each shared option once:
+common (--alpha, --json), data (common + the input options) and regression
+(data + --response, --predictors, --no-intercept).  Each subcommand names its
+parent and binds its handler with `set_defaults(run=_cmd_*)`.
+
 Every report is assembled in `_assemble_report`: it checks alpha before any
-command runs, takes the payload each `_cmd_*(args, alpha)` returns (results,
+command runs, takes the payload `args.run(args, alpha)` returns (results,
 decisions, dataset or None, diagnostics rows or None), and adds the command
 echo, the input digest and the dropped-row warning.
 
@@ -26,6 +32,7 @@ The ten names the benchmark tracer rebinds here are slots bound to None.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -60,7 +67,30 @@ EXIT_NUMERIC = 4
 _SCENARIOS = {"t": "one_sample_t", "f": "nested_f", "proportion": "proportion"}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--alpha", type=float, default=0.05,
+                        help="test level (default 0.05)")
+    common.add_argument("--json", action="store_true",
+                        help="print the JSON report instead of the human table")
+    data = argparse.ArgumentParser(add_help=False, parents=[common])
+    data.add_argument("--input", required=True, help="CSV file to analyze")
+    data.add_argument("--delimiter", default=",", help="CSV delimiter")
+    data.add_argument("--no-header", action="store_true",
+                      help="file has no header row; columns are col0, col1, ...")
+    data.add_argument("--log-columns", default="",
+                      help="comma-separated columns to natural-log transform")
+    data.add_argument("--label-column", default=None,
+                      help="text column holding observation identifiers")
+    regression = argparse.ArgumentParser(add_help=False, parents=[data])
+    regression.add_argument("--response", required=True)
+    regression.add_argument("--predictors", default="",
+                            help="comma-separated predictor columns (default: all "
+                                 "others; leaving it out ingests every column)")
+    regression.add_argument("--no-intercept", action="store_true",
+                            help="do not prepend a constant column")
+
     parser = argparse.ArgumentParser(
         prog="nullform",
         description=(
@@ -70,38 +100,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_input: bool) -> None:
-        p.add_argument("--alpha", type=float, default=0.05,
-                       help="test level (default 0.05)")
-        p.add_argument("--json", action="store_true",
-                       help="print the JSON report instead of the human table")
-        if with_input:
-            p.add_argument("--input", required=True, help="CSV file to analyze")
-            p.add_argument("--delimiter", default=",", help="CSV delimiter")
-            p.add_argument("--no-header", action="store_true",
-                           help="file has no header row; columns are col0, col1, ...")
-            p.add_argument("--log-columns", default="",
-                           help="comma-separated columns to natural-log transform")
-            p.add_argument("--label-column", default=None,
-                           help="text column holding observation identifiers")
-
-    p = sub.add_parser("ttest", help="one-sample location test, both forms")
-    add_common(p, with_input=True)
+    p = sub.add_parser("ttest", parents=[data],
+                       help="one-sample location test, both forms")
+    p.set_defaults(run=_cmd_ttest)
     p.add_argument("--mu0", type=float, required=True, help="hypothesized mean")
     p.add_argument("--column", default=None,
                    help="response column (default: the first column other than "
                         "--label-column)")
 
-    p = sub.add_parser("proptest", help="one-sample proportion test, both forms")
-    add_common(p, with_input=False)
+    p = sub.add_parser("proptest", parents=[common],
+                       help="one-sample proportion test, both forms")
+    p.set_defaults(run=_cmd_proptest)
     p.add_argument("--successes", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p0", type=float, required=True, help="hypothesized proportion")
     p.add_argument("--alternative", choices=("two-sided", "less", "greater"),
                    default="two-sided")
 
-    p = sub.add_parser("ftest", help="nested linear model F-test, both forms")
-    add_common(p, with_input=True)
+    p = sub.add_parser("ftest", parents=[data],
+                       help="nested linear model F-test, both forms")
+    p.set_defaults(run=_cmd_ftest)
     p.add_argument("--response", required=True, help="response column")
     p.add_argument("--full-cols", required=True,
                    help="comma-separated predictor columns of the full model")
@@ -110,17 +128,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intercept", action="store_true",
                    help="prepend a constant column to both models")
 
-    p = sub.add_parser("outliers", help="per-observation outlier diagnostics")
-    add_common(p, with_input=True)
-    p.add_argument("--response", required=True)
-    p.add_argument("--predictors", default="",
-                   help="comma-separated predictor columns (default: all others; "
-                        "leaving it out ingests every column)")
-    p.add_argument("--no-intercept", action="store_true",
-                   help="do not prepend a constant column")
+    sub.add_parser("outliers", parents=[regression],
+                   help="per-observation outlier diagnostics").set_defaults(run=_cmd_outliers)
 
-    p = sub.add_parser("simulate", help="size/power and null-law simulation")
-    add_common(p, with_input=False)
+    p = sub.add_parser("simulate", parents=[common],
+                       help="size/power and null-law simulation")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--scenario", choices=sorted(_SCENARIOS), required=True)
     p.add_argument("--replicates", type=int, required=True)
     p.add_argument("--n", type=int, required=True, help="per-replicate sample size")
@@ -131,15 +144,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="64-bit seed (default: NULLFORM_SEED or 0)")
 
-    p = sub.add_parser("plot", help="residual diagnostic panels as SVG")
-    add_common(p, with_input=True)
-    p.add_argument("--response", required=True)
-    p.add_argument("--predictors", default="",
-                   help="comma-separated predictor columns (default: all others; "
-                        "leaving it out ingests every column)")
-    p.add_argument("--no-intercept", action="store_true")
+    p = sub.add_parser("plot", parents=[regression],
+                       help="residual diagnostic panels as SVG")
+    p.set_defaults(run=_cmd_plot)
     p.add_argument("--out", required=True, help="output SVG path")
-
     return parser
 
 
@@ -232,9 +240,9 @@ def _cmd_ftest(args, alpha: float):
 
     full_names = _split_list(args.full_cols)
     reduced_names = _split_list(args.reduced_cols)
-    if full_names[: len(reduced_names)] != reduced_names:
+    if full_names[: len(reduced_names)] != reduced_names or reduced_names == full_names:
         raise DomainError(
-            "--reduced-cols must be a prefix of --full-cols "
+            "--reduced-cols must be a proper prefix of --full-cols "
             f"(got {reduced_names} vs {full_names})"
         )
     dataset = _load_dataset(args, (args.response, *full_names))
@@ -340,16 +348,6 @@ def _cmd_plot(args, alpha: float):
     return results, {"any_outlier": bool(outliers)}, dataset, None
 
 
-_DISPATCH = {
-    "ttest": _cmd_ttest,
-    "proptest": _cmd_proptest,
-    "ftest": _cmd_ftest,
-    "outliers": _cmd_outliers,
-    "simulate": _cmd_simulate,
-    "plot": _cmd_plot,
-}
-
-
 def _fmt(value) -> str:
     if value is None:
         return "--"
@@ -407,7 +405,7 @@ def _assemble_report(args: argparse.Namespace, argv):
     also gets the raw results and rows, where +-inf is not yet null; with --json
     the payload (dataset, rows) is freed when this returns, before printing."""
     alpha = _check_alpha(args.alpha)
-    results, decisions, dataset, rows = _DISPATCH[args.command](args, alpha)
+    results, decisions, dataset, rows = args.run(args, alpha)
     digest, warnings = None, ()
     if dataset is not None:
         digest = dataset.digest
@@ -423,9 +421,8 @@ def _assemble_report(args: argparse.Namespace, argv):
 
 def run_command(argv) -> int:
     """Parse argv (without the program name), run, print, return exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else EXIT_OK

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
 from .sample import Sample
-from .specfun import beta_params, cdf, fisher_f
+from .specfun import beta_params, cdf, fisher_f, reg_inc_beta
 
 __all__ = [
     "DesignMatrix",
@@ -290,7 +290,9 @@ def nested_f_test(spec: NestedSpec, y: Sample) -> NestedFTestResult:
         f_trad, f_null = _f_forms(ss2given1, sse12, sse1, n, p1, p2)
         f_law, beta_law = _null_laws(n, p1, p2)
         p_value_f = 1.0 - cdf(f_law, f_trad)
-        p_value_beta = 1.0 - cdf(beta_law, p2 * f_null / (n - p1))
+        # the upper Beta tail at p2 F_null / (n - p1) = 1 - SSE_12/SSE_1, read
+        # at SSE_12/SSE_1 (<= 1, as sse1 is the sum) with the shapes swapped
+        p_value_beta = reg_inc_beta(sse12 / sse1, beta_law.df2, beta_law.df1)
     return NestedFTestResult(
         sse1=sse1, sse12=sse12, ss2given1=ss2given1,
         f_trad=f_trad, f_null=f_null,

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .sample import Sample
-from .specfun import beta_params, cdf, student_t
+from .specfun import cdf, reg_inc_beta, student_t
 
 __all__ = [
     "TTestResult",
@@ -163,10 +163,12 @@ def t_test(y: Sample, mu0: float) -> TTestResult:
     s2 = sse / df
     t = (ybar - mu0) / math.sqrt(s2 / n)
 
-    # two independent p-value routes: Student t tail at |t|, and the Beta law
-    # of T0^2/n (shape 1/2, (n-1)/2) at t0^2/n
+    # two independent p-value routes: Student t tail at |t|, and the upper
+    # tail of T0^2/n ~ Beta(1/2, (n-1)/2), which is the lower tail of
+    # Beta((n-1)/2, 1/2) at 1 - T0^2/n = SSE/SSTO, so no 1 - cdf cancels it
+    # to 0.  With mu0 within an ulp of ybar, rounding can put SSE above SSTO.
     p_value_t = 2.0 * cdf(student_t(float(df)), -abs(t))
-    p_value_t0 = 1.0 - cdf(beta_params(0.5, 0.5 * df), t0 * t0 / n)
+    p_value_t0 = reg_inc_beta(min(1.0, sse / ssto), 0.5 * df, 0.5)
 
     return TTestResult(
         mean=ybar, mu0=mu0, s2=s2, s0_2=s0_2, t=t, t0=t0,

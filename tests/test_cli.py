@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -250,7 +251,7 @@ GOLDEN_ARGV = {
 
 GOLDEN_SHA256 = {
     "ftest": {
-        "json": "af72c64c456ba93dd19314ad51fcc129048fd16bc91b423cf87048391ab41a11",
+        "json": "ce8c897d9c2f00a2f63452baf656571321e9b4822b21f2ae0129bfc7cd740e0d",
         "human": "b0fce9480d94a6f1f51aa0398e4f18c65f09fd712fe8318aea751a872665928d",
     },
     "outliers": {
@@ -287,7 +288,7 @@ GOLDEN_SHA256 = {
         "human": "ae6c3146d4d7b9cebc3d7cdf65b0de9d2d028a5b4a0a4abf7722bf9f1532e657",
     },
     "ttest": {
-        "json": "2f7cc52f08c1a422fe7876b97581790badca5ae5383e2650220edbf73774a6cc",
+        "json": "008be479893662fa4cf2bac9469b9c703dd5c71907b104006f1a450be4d7c17f",
         "human": "e16df3d0c15ff68a0ba02e75dfedd5760110c561e1156b3c8af21dc25fe7aee1",
     },
     "ttest-boundary": {
@@ -589,6 +590,15 @@ def test_reduced_must_be_prefix(capsys, reg_csv):
     assert "prefix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("full, reduced", [("x1", "x1"), ("", "")], ids=["equal", "empty"])
+def test_reduced_must_leave_a_column_to_test(capsys, reg_csv, full, reduced):
+    rc = run_command(["ftest", "--input", reg_csv, "--response", "y", "--intercept",
+                      "--full-cols", full, "--reduced-cols", reduced])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "--reduced-cols must be a proper prefix of --full-cols" in err
+
+
 def test_module_entry_point(tiny_csv):
     proc = subprocess.run(
         [sys.executable, "-m", "nullform", "ttest", "--input", tiny_csv,
@@ -677,7 +687,8 @@ def cold_cycle(path, svg):
          "--seed", "987654321", "--json"],
         ["plot", *regression, "--predictors", "x1,x2,x3", "--out", svg, "--json"],
         ["--help"],
-        ["simulate", "--help"],
+        *([name, "--help"] for name in ("ttest", "proptest", "ftest", "outliers",
+                                        "plot", "simulate")),
     ]
 
 
@@ -698,6 +709,47 @@ def test_cold_process_matches_warm_in_process_bytes(capsys, monkeypatch, cold_cs
             assert svg.read_bytes() == cold_svg
     # the last command was `simulate --help`
     assert "--scenario {f,proportion,t}" in cold.stdout.decode()
+
+
+def test_the_one_parser_carries_no_state_between_calls(capsys, monkeypatch, cold_csv):
+    # each step runs in process, after the step before it, and in a fresh
+    # process: a value or error left by one parse would show in the next
+    monkeypatch.setenv("COLUMNS", "80")
+    ttest = ["ttest", "--input", cold_csv, "--label-column", "label", "--mu0", "0", "--json"]
+    simulate = ["simulate", "--scenario", "t", "--replicates", "200", "--n", "6", "--json"]
+    steps = [
+        ({}, [*ttest, "--column", "x2"]),
+        ({}, ttest),
+        ({}, [*simulate, "--seed", "5"]),
+        ({"NULLFORM_SEED": "11"}, simulate),
+        ({}, ["ftest", "--input", cold_csv, "--response"]),
+        ({}, ["ftest", "--input", cold_csv, "--response", "y", "--full-cols", "x1", "--json"]),
+    ]
+    parser = cli_module._build_parser()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    codes = []
+    for env, argv in steps:
+        cold = subprocess.run([sys.executable, "-m", "nullform", *argv],
+                              env={**fresh_env(), **env}, capture_output=True,
+                              text=True, timeout=120)
+        with monkeypatch.context() as m:
+            for name, value in env.items():
+                m.setenv(name, value)
+            codes.append(run_command(argv))
+        out = capsys.readouterr()
+        assert (codes[-1], out.out, out.err) == (cold.returncode, cold.stdout, cold.stderr), argv
+        if "--seed" not in argv and argv[0] == "simulate":
+            assert json.loads(out.out)["results"]["seed"] == 11
+    assert codes == [0, 0, 0, 0, 2, 0]
+    assert cli_module._build_parser() is parser
+    assert built == []
 
 
 # Runs one ftest under the benchmark's tracer in a fresh process, then one

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from nullform.diagnostics import residual_diagnostics
 from nullform.errors import DomainError, RankDeficiencyError
@@ -195,6 +196,21 @@ class TestNestedFTest:
         assert res.f_null == pytest.approx((3 - 1) / 1, rel=1e-12)
         assert res.p_value_f == 0.0
         assert res.p_value_beta == 0.0
+
+    @pytest.mark.parametrize("n, p1, p2, effect", [
+        (43, 1, 3, 2.0), (50, 0, 1, 1.0), (50, 0, 1, 1.5),
+    ])
+    def test_null_form_tail_agrees_with_scipy(self, n, p1, p2, effect):
+        # p_value_beta is read at SSE_12/SSE_1: 1 - cdf gave 0.0 for the first
+        # case (p ~ 1.6e-23) and was 3.4e-6 off relatively for the last
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((n, p1 + p2))
+        if p1:
+            x[:, 0] = 1.0
+        y = x[:, p1:] @ np.full(p2, effect) + rng.standard_normal(n)
+        res = nested_f_test(NestedSpec(DesignMatrix(x), p1), Sample.from_iterable(y))
+        ref = float(stats.f.sf(res.f_trad, p2, n - p1 - p2))
+        assert res.p_value_beta == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_reduced_model_exact_fit_is_domain_error(self):
         spec = NestedSpec(DesignMatrix([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]]), p1=1)

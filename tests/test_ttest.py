@@ -3,7 +3,9 @@ oracle for the traditional route, and the exact-equivalence identities as
 properties on random samples."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -99,6 +101,35 @@ class TestDegenerateAndBoundary:
     def test_needs_two_observations(self):
         with pytest.raises(DomainError):
             t_test(Sample.from_iterable([1.0]), 0.0)
+
+
+class TestNullFormTail:
+    """p_value_t0 is read at the complement SSE/SSTO, not as 1 - cdf."""
+
+    def test_far_tail_agrees_with_scipy(self):
+        # 1 - cdf gave 0.0 here, where both routes should read ~5.26e-18
+        y = np.random.default_rng(0).standard_normal(30) + 3.0
+        res = t_test(Sample.from_iterable(y), 0.0)
+        ref = float(sst.ttest_1samp(y, popmean=0.0).pvalue)
+        assert ref < 1e-16
+        assert res.p_value_t0 == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert res.p_value_t0 == pytest.approx(res.p_value_t, rel=1e-12, abs=0.0)
+
+    def test_mu0_an_ulp_from_the_mean(self):
+        # rounding can make SSE exceed SSTO here: the tail is then exactly 1,
+        # not an error; elsewhere it lies within sqrt(ulp) of 1, as p_value_t
+        rng = random.Random(0)
+        crossed = 0
+        for _ in range(300):
+            values = [rng.gauss(0.0, 1.0) for _ in range(rng.randint(2, 12))]
+            ybar = math.fsum(values) / len(values)
+            for toward in (-math.inf, math.inf):
+                res = t_test(Sample.from_iterable(values), math.nextafter(ybar, toward))
+                if res.sse > res.ssto:
+                    crossed += 1
+                    assert res.p_value_t0 == 1.0
+                assert res.p_value_t0 == pytest.approx(res.p_value_t, abs=1e-6)
+        assert crossed > 0
 
 
 class TestSample:
