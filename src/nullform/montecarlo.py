@@ -7,16 +7,21 @@ finalizer, so a draw is a pure function of (seed, domain, cell, counter):
     cell_key   = mix64(domain_key + (cell + 1) * STREAM_SALT)
     raw(k)     = mix64(cell_key + (k + 1) * GOLDEN)
 
-Uniforms map the top 53 bits of raw into the open interval (0, 1).  Gaussian
+Uniforms map the top 53 bits of raw, offset by half a step, into (0, 1]: the
+top raw word rounds to exactly 1.0, and values at or above 0.5 are unevenly
+spaced, since their half steps tie and round to even.  Gaussian
 variates use the Marsaglia polar method with per-cell rejection: attempt k of
 a cell consumes raw values 2k and 2k+1, so a rejected pair never shifts the
 stream of any other cell.  Results are therefore bit-identical no matter how
 replicates are partitioned across workers, and two scenarios never share
 draws (they live in different domains).  The generator works through blocks
-of 2^16 cells, so its temporaries stay small whatever the draw size; the
-proportion scenario counts successes one block of replicates at a time
-instead of holding all replicates x n uniforms, and looks both z forms up
-in a table of `proportion._z_forms` over the success counts that occur.
+of 2^16 cells and mixes each block in place, in buffers allocated once per
+draw; a normal draw's first polar attempt runs over the whole block, and
+only its rejected cells are gathered for retries.  The proportion scenario
+counts successes one block of replicates at a time, comparing each raw word
+with the integer threshold below which its uniform falls under p, and looks
+both z forms up in a table of `proportion._z_forms` over the success counts
+that occur.
 
 Scenario domains: 1 = response noise, 2 = design entries, 3 = Bernoulli
 trials.
@@ -55,10 +60,10 @@ __all__ = [
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
 _DOMAIN_SALT = 0xD1B54A32D192ED03
-_STREAM_SALT = 0x8CB92BA72F3D8DD7
+_STREAM_SALT = np.uint64(0x8CB92BA72F3D8DD7)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 _DOMAIN_NOISE = 1
 _DOMAIN_DESIGN = 2
@@ -68,73 +73,167 @@ _DOMAIN_TRIALS = 3
 # probability ~1e-42 per cell and indicates a broken generator
 _MAX_POLAR_ATTEMPTS = 64
 
-# cells drawn per block: every temporary of the generator is then 512 KiB,
-# which stays in cache and reuses freed memory instead of faulting in fresh
-# pages for every full-size temporary of one large draw
+# cells drawn per block: each block is mixed in buffers of this many cells,
+# allocated once per draw and reused by every block, so one large draw never
+# faults in fresh pages for full-size temporaries
 _BLOCK_CELLS = 1 << 16
 
 
-def _mix64_arr(x: np.ndarray) -> np.ndarray:
-    x = x.copy()
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(_MIX1)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(_MIX2)
-    x ^= x >> np.uint64(31)
+def _mix64(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer of x, in place; tmp is scratch of x's size."""
+    x ^= np.right_shift(x, 30, out=tmp)
+    x *= _MIX1
+    x ^= np.right_shift(x, 27, out=tmp)
+    x *= _MIX2
+    x ^= np.right_shift(x, 31, out=tmp)
     return x
 
 
-def _cell_keys(seed: int, domain: int, start: int, count: int) -> np.ndarray:
-    domain_key = _mix64_arr(np.array([(seed + domain * _DOMAIN_SALT) & _MASK], np.uint64))
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return _mix64_arr(domain_key + idx * np.uint64(_STREAM_SALT))
+def _cell_keys(seed: int, domain: int, start: int, count: int,
+               tmp: np.ndarray | None = None) -> np.ndarray:
+    """Keys of cells [start, start+count); tmp is scratch of at least count words."""
+    domain_key = np.array([(seed + domain * _DOMAIN_SALT) & _MASK], np.uint64)
+    _mix64(domain_key, np.empty(1, np.uint64))
+    keys = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    keys *= _STREAM_SALT
+    keys += domain_key
+    return _mix64(keys, np.empty_like(keys) if tmp is None else tmp[:count])
 
 
-def _raw(keys: np.ndarray, k: int) -> np.ndarray:
-    offset = np.uint64((_GOLDEN * (k + 1)) & _MASK)
-    with np.errstate(over="ignore"):
-        return _mix64_arr(keys + offset)
+def _raw(keys: np.ndarray, k: int, out: np.ndarray | None = None,
+         tmp: np.ndarray | None = None) -> np.ndarray:
+    """Raw word k of every cell key, into out (which may be keys itself)."""
+    out = np.add(keys, np.uint64((_GOLDEN * (k + 1)) & _MASK), out=out)
+    return _mix64(out, np.empty_like(out) if tmp is None else tmp[:out.size])
 
 
-def _to_unit(raw: np.ndarray) -> np.ndarray:
-    # top 53 bits, offset by half a step: strictly inside (0, 1)
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+def _to_unit(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The top 53 bits of each raw word, offset by half a step, scaled to (0, 1].
+
+    Raw 0 gives 2**-54 and the top raw word gives exactly 1.0: above 2**52
+    the half step ties, and rounding to even makes the values at or above
+    0.5 unevenly spaced.  With out given, raw is scratch and is shifted in
+    place.
+    """
+    if out is None:
+        bits, out = raw >> 11, np.empty(raw.shape)
+    else:
+        bits = np.right_shift(raw, 11, out=raw)
+    np.add(bits, 0.5, out=out)
+    out *= 2.0**-53
+    return out
+
+
+def _unit_threshold(p: float) -> int:
+    """Smallest q with (float(q) + 0.5) * 2**-53 >= p, for p <= 1.
+
+    `_to_unit` is nondecreasing in the raw word, so a uniform falls below p
+    exactly when its raw word falls below q << 11.
+    """
+    lo, hi = 0, (1 << 53) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (float(mid) + 0.5) * 2.0**-53 >= p:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def uniform_cells(seed: int, domain: int, start: int, count: int) -> np.ndarray:
-    """count uniforms on (0,1), one per cell, for cells [start, start+count)."""
+    """count uniforms on (0, 1], one per cell, for cells [start, start+count)."""
     out = np.empty(count)
+    tmp = np.empty(min(count, _BLOCK_CELLS), np.uint64)
     for lo in range(0, count, _BLOCK_CELLS):
         block = out[lo:lo + _BLOCK_CELLS]
-        block[:] = _to_unit(_raw(_cell_keys(seed, domain, start + lo, block.size), 0))
+        keys = _cell_keys(seed, domain, start + lo, block.size, tmp)
+        _to_unit(_raw(keys, 0, keys, tmp), block)
     return out
 
 
 def normal_cells(seed: int, domain: int, start: int, count: int) -> np.ndarray:
     """count standard normals, one per cell, for cells [start, start+count)."""
     out = np.empty(count)
+    scratch = _polar_scratch(min(count, _BLOCK_CELLS))
     for lo in range(0, count, _BLOCK_CELLS):
         block = out[lo:lo + _BLOCK_CELLS]
-        _fill_normals(block, _cell_keys(seed, domain, start + lo, block.size))
+        keys = _cell_keys(seed, domain, start + lo, block.size, scratch[1])
+        _fill_normals(block, keys, scratch)
     return out
 
 
-def _fill_normals(out: np.ndarray, keys: np.ndarray) -> None:
-    """Polar-method normals into out, one per cell key."""
-    pending = np.arange(out.size)
-    k = 0
+def _polar_scratch(size: int) -> tuple[np.ndarray, ...]:
+    """Buffers of one polar attempt over up to size cells: two words, two floats."""
+    return (np.empty(size, np.uint64), np.empty(size, np.uint64),
+            np.empty(size), np.empty(size))
+
+
+def _polar_attempt(out: np.ndarray, keys: np.ndarray, k: int,
+                   scratch: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Attempt k of the polar method for every key, into out; returns the
+    positions it rejected, whose entries of out are then meaningless."""
+    words, tmp, v2, s = (buf[:keys.size] for buf in scratch)
+    v1 = _to_unit(_raw(keys, 2 * k, words, tmp), out)
+    v1 *= 2.0
+    v1 -= 1.0
+    _to_unit(_raw(keys, 2 * k + 1, words, tmp), v2)
+    v2 *= 2.0
+    v2 -= 1.0
+    np.multiply(v1, v1, out=s)
+    v2 *= v2
+    s += v2
+    # accepted where 0 < s < 1; rejected entries may overflow or go NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = np.log(s, out=v2)
+        factor *= -2.0
+        factor /= s
+        v1 *= np.sqrt(factor, out=factor)
+    return np.flatnonzero((s >= 1.0) | (s == 0.0))
+
+
+def _fill_normals(out: np.ndarray, keys: np.ndarray,
+                  scratch: tuple[np.ndarray, ...] | None = None) -> None:
+    """Polar-method normals into out, one per cell key.
+
+    Attempt 0 runs over every cell; only the cells it rejects (about 21.5%)
+    are gathered for the later attempts.
+    """
+    if scratch is None:
+        scratch = _polar_scratch(keys.size)
+    pending = _polar_attempt(out, keys, 0, scratch)
+    k = 1
     while pending.size:
         if k >= _MAX_POLAR_ATTEMPTS:
             raise NumericError("polar rejection failed to terminate")
-        v1 = 2.0 * _to_unit(_raw(keys[pending], 2 * k)) - 1.0
-        v2 = 2.0 * _to_unit(_raw(keys[pending], 2 * k + 1)) - 1.0
-        s = v1 * v1 + v2 * v2
-        ok = (s > 0.0) & (s < 1.0)
-        accepted = s[ok]
-        out[pending[ok]] = v1[ok] * np.sqrt(-2.0 * np.log(accepted) / accepted)
-        pending = pending[~ok]
+        retry = np.empty(pending.size)
+        rejected = _polar_attempt(retry, keys[pending], k, scratch)
+        out[pending] = retry
+        pending = pending[rejected]
         k += 1
+
+
+def _trial_successes(seed: int, replicates: int, n: int, p: float) -> np.ndarray:
+    """Bernoulli(p) successes in each of replicates rows of n trials: the
+    count of the row's trial-domain uniforms below p, read from their raw
+    words without forming the uniforms."""
+    threshold = np.uint64(_unit_threshold(p) << 11)
+    # whole rows per block; a row of more than a block is counted in parts
+    rows = max(1, _BLOCK_CELLS // n)
+    width = min(n, _BLOCK_CELLS)
+    size = min(rows, replicates) * width
+    tmp = np.empty(size, np.uint64)
+    below = np.empty(size, np.float32)
+    ones = np.ones(width, np.float32)
+    successes = np.zeros(replicates)
+    for lo in range(0, replicates, rows):
+        m = min(rows, replicates - lo)
+        for col in range(0, n, width):
+            w = min(width, n - col)
+            keys = _cell_keys(seed, _DOMAIN_TRIALS, lo * n + col, m * w, tmp)
+            hits = np.less(_raw(keys, 0, keys, tmp), threshold, out=below[:m * w])
+            # sums of at most a block of zeros and ones are exact in float32
+            successes[lo:lo + m] += hits.reshape(m, w) @ ones[:w]
+    return successes.astype(np.int64)
 
 
 class Scenario(Enum):
@@ -230,17 +329,9 @@ def _nested_statistics(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, int, int
 
 def _proportion_z(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """(z_null, z_wald) per replicate for the proportion scenario, by count."""
-    n, reps = cfg.n, cfg.replicates
-    p_true = cfg.p0 + cfg.effect
-    # successes per replicate, counted one block of replicates at a time
-    rows = max(1, _BLOCK_CELLS // n)
-    successes = np.empty(reps, dtype=np.int64)
-    for lo in range(0, reps, rows):
-        m = min(rows, reps - lo)
-        u = uniform_cells(cfg.seed, _DOMAIN_TRIALS, lo * n, m * n).reshape(m, n)
-        successes[lo:lo + m] = (u < p_true).sum(axis=1)
+    successes = _trial_successes(cfg.seed, cfg.replicates, cfg.n, cfg.p0 + cfg.effect)
     k_min = int(successes.min())
-    table = np.array([_z_forms(k, n, cfg.p0)
+    table = np.array([_z_forms(k, cfg.n, cfg.p0)
                       for k in range(k_min, int(successes.max()) + 1)]).T
     z_null, z_wald = table[:, successes - k_min]
     return z_null, z_wald

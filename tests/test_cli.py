@@ -247,6 +247,14 @@ GOLDEN_ARGV = {
                             "300", "--n", "20", "--p0", "0.3", "--seed", "5"],
     "plot": ["plot", "--input", "reg.csv", "--response", "y", "--predictors", "x1",
              "--label-column", "name", "--out", "panels.svg"],
+    # more than two generator blocks of 2^16 cells, with a short last block
+    "simulate-t-blocks": ["simulate", "--scenario", "t", "--replicates", "13200", "--n", "10",
+                          "--seed", "5"],
+    "simulate-f-blocks": ["simulate", "--scenario", "f", "--replicates", "9000", "--n", "16",
+                          "--p1", "2", "--p2", "2", "--seed", "5"],
+    "simulate-proportion-blocks": ["simulate", "--scenario", "proportion", "--replicates",
+                                   "7000", "--n", "20", "--p0", "0.3", "--effect", "0.05",
+                                   "--seed", "5"],
 }
 
 GOLDEN_SHA256 = {
@@ -279,13 +287,25 @@ GOLDEN_SHA256 = {
         "json": "c906fbacb4ca4ba1e6d4024d33e1431bda2b13db9ff1cfee3a9c14b15bdf7570",
         "human": "91c97c2f7b54c6f1260d3bc7a036a589bf3704c208e52a79d75d2d6194b65569",
     },
+    "simulate-f-blocks": {
+        "json": "dff1d558f5b94a5e0d4259967e1ed85f9be7096d08fcbcbdc9926f24b61871c4",
+        "human": "8ad4872c30867ec74d53ad4d83cab557c20a654a0ce62e184004bf5a4ed39546",
+    },
     "simulate-proportion": {
         "json": "1ca3411416408a6988e0c1535ae96fc295029d5582bc8a8cf92a9dccedc46dfb",
         "human": "7b9a2ef00a5772bdd791bffa1ff27e97ddb616a88333a2824d2b82b77b2ce5f9",
     },
+    "simulate-proportion-blocks": {
+        "json": "cd312e96cd6af19766fb1699ec54e68717156d60504ae888a4a140fdf06d792f",
+        "human": "39ba6bb3605eeb44d410074c84d0572ed163ae303c29380346e72a7f2b2c8de5",
+    },
     "simulate-t": {
         "json": "5abd26cb0bfb7c7181f156d54b2a28c21d5193e233d694e37e1508988790e00f",
         "human": "ae6c3146d4d7b9cebc3d7cdf65b0de9d2d028a5b4a0a4abf7722bf9f1532e657",
+    },
+    "simulate-t-blocks": {
+        "json": "2bba870c1d910d78289a81c352e2c2ef44f560e7899b8c166fa1925d07171b76",
+        "human": "2e514e8cc83bd5a32d58dc61797d29f8b128746fb2a564f24aa66b9cc1e744f9",
     },
     "ttest": {
         "json": "008be479893662fa4cf2bac9469b9c703dd5c71907b104006f1a450be4d7c17f",

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sst
 
 from nullform.errors import DomainError
@@ -19,6 +21,8 @@ from nullform.montecarlo import (
     _proportion_z,
     _raw,
     _to_unit,
+    _trial_successes,
+    _unit_threshold,
     normal_cells,
     null_law_check,
     simulate_size_power,
@@ -29,9 +33,18 @@ from nullform.specfun import beta_params, cdf, quantile, student_t
 
 class TestGenerator:
     def test_uniforms_strictly_inside_unit_interval(self):
+        # only the top raw word maps to 1.0 (see test_unit_map_extremes), so a
+        # sample of this size stays below it
         u = uniform_cells(seed=1, domain=1, start=0, count=50_000)
         assert u.min() > 0.0
         assert u.max() < 1.0
+
+    def test_unit_map_extremes(self):
+        # raw 0 is half a step above 0; the top raw word's half step ties and
+        # rounds to even, to exactly 1.0
+        raw = np.array([0, 2**64 - 1], np.uint64)
+        assert _to_unit(raw).tolist() == [2.0**-54, 1.0]
+        assert raw.tolist() == [0, 2**64 - 1]
 
     def test_uniform_distribution(self):
         u = uniform_cells(seed=42, domain=3, start=0, count=20_000)
@@ -55,10 +68,19 @@ class TestGenerator:
         )
         assert np.array_equal(whole, parts)
 
-    def test_blocked_draws_match_one_unblocked_draw(self):
-        # two and a half blocks from an offset: each blocked draw equals the
-        # same transform run over all cell keys at once
-        start, count = 1234, 5 * _BLOCK_CELLS // 2
+    @pytest.mark.parametrize("count", [
+        pytest.param(1, id="1"),
+        pytest.param(_BLOCK_CELLS - 1, id="B-1"),
+        pytest.param(_BLOCK_CELLS, id="B"),
+        pytest.param(_BLOCK_CELLS + 1, id="B+1"),
+        pytest.param(2 * _BLOCK_CELLS + 3, id="2B+3"),
+        pytest.param(5 * _BLOCK_CELLS // 2, id="2.5B"),
+    ])
+    def test_blocked_draws_match_one_unblocked_draw(self, count):
+        # from an offset, each blocked draw equals the same transform run over
+        # all cell keys at once; a short last block reads a prefix of the
+        # reused buffers
+        start = 1234
         keys = _cell_keys(9, 1, start, count)
         whole = np.empty(count)
         _fill_normals(whole, keys)
@@ -84,6 +106,47 @@ class TestGenerator:
         assert np.array_equal(z_null, (p_hat - p0) / math.sqrt(p0 * (1.0 - p0) / n))
         with np.errstate(divide="ignore"):
             assert np.array_equal(z_wald, (p_hat - p0) / np.sqrt(p_hat * (1.0 - p_hat) / n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+           seed=st.integers(min_value=0, max_value=2**64 - 1),
+           n=st.integers(min_value=1, max_value=40))
+    def test_threshold_count_matches_uniforms(self, p, seed, n):
+        reps = 64
+        u = uniform_cells(seed, 3, 0, reps * n).reshape(reps, n)
+        assert np.array_equal(_trial_successes(seed, reps, n, p), (u < p).sum(axis=1))
+
+    @pytest.mark.parametrize("p", [
+        pytest.param((123456789 + 0.5) * 2.0**-53, id="grid"),
+        pytest.param(math.nextafter((123456789 + 0.5) * 2.0**-53, 0.0), id="below-grid"),
+        pytest.param(math.nextafter((123456789 + 0.5) * 2.0**-53, 1.0), id="above-grid"),
+        pytest.param(0.5, id="half"),
+        pytest.param(math.nextafter(0.5, 1.0), id="above-half"),
+        # the half step of 2**52 + 3 ties up to 2**52 + 4, so two raw words
+        # map to this value and only the lower one is the threshold
+        pytest.param((2**52 + 4) * 2.0**-53, id="tie"),
+        pytest.param(0.75, id="three-quarters"),
+        pytest.param(1.0 - 2.0**-53, id="top"),
+        pytest.param(2.0**-54, id="smallest-uniform"),
+        pytest.param(2.0**-60, id="below-smallest"),
+    ])
+    def test_threshold_is_exact(self, p):
+        # q is the first 53-bit word whose uniform reaches p, and every raw
+        # word on either side of q << 11 compares with p as its uniform does
+        q = _unit_threshold(p)
+
+        def unit(bits):
+            return float(_to_unit(np.array([bits << 11], np.uint64))[0])
+
+        assert unit(q) >= p
+        assert q == 0 or unit(q - 1) < p
+        edge = q << 11
+        words = np.array([w for w in (edge - 2049, edge - 2048, edge - 1, edge, edge + 2047,
+                                      edge + 2048) if 0 <= w < 2**64], np.uint64)
+        assert np.array_equal(_to_unit(words) < p, words < np.uint64(edge))
+        reps, n = 40, 25
+        u = uniform_cells(8, 3, 0, reps * n).reshape(reps, n)
+        assert np.array_equal(_trial_successes(8, reps, n, p), (u < p).sum(axis=1))
 
     def test_domains_are_independent_streams(self):
         a = uniform_cells(seed=9, domain=1, start=0, count=100)
