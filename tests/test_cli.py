@@ -224,6 +224,24 @@ def test_json_output_is_byte_deterministic(capsys, reg_csv, tmp_path):
     assert report.to_json() == first
 
 
+# Apart from the spike "<top%d&co>", the rows lie on y = 1 + 2 x1.  Row "lev&1"
+# is the only row with d = 1, so its leverage is 1 and it is flagged.  Rows
+# "zero" and "c0" sit where their hat value with the spike is 0, so the fit
+# leaves them on the line: their residuals are rounding dust and they are not
+# tested.  Without the spike the other rows fit exactly, so its studentized
+# residual is infinite.  At alpha 0.5 the outliers are "R&D" and the spike.
+STATES_CSV = (
+    "name,y,x1,d\n"
+    "lev&1,3.5,2,1\n"
+    "c0,1,0,0\n"
+    "c1,3,1,0\n"
+    "<c2>,5,2,0\n"
+    "c3,7,3,0\n"
+    "R&D,9,4,0\n"
+    "zero,1,0,0\n"
+    "<top%d&co>,13,3,0\n"
+)
+
 # sha256 of the stdout of each command, with --json and without, and of the
 # plot's SVG.  The human table prints results in insertion order, so these
 # also pin the key order of every results record.
@@ -255,6 +273,12 @@ GOLDEN_ARGV = {
     "simulate-proportion-blocks": ["simulate", "--scenario", "proportion", "--replicates",
                                    "7000", "--n", "20", "--p0", "0.3", "--effect", "0.05",
                                    "--seed", "5"],
+    # states.csv: one row of each diagnostics state, and outlier labels that
+    # hold the characters SVG text and %-formatting treat specially
+    "outliers-states": ["outliers", "--input", "states.csv", "--response", "y",
+                        "--label-column", "name", "--alpha", "0.5"],
+    "plot-states": ["plot", "--input", "states.csv", "--response", "y",
+                    "--label-column", "name", "--alpha", "0.5", "--out", "panels.svg"],
 }
 
 GOLDEN_SHA256 = {
@@ -266,10 +290,19 @@ GOLDEN_SHA256 = {
         "json": "71bcb7648187b2280980014b4bd599e4903067a6a2f15c43d24b4004d6c5caba",
         "human": "fa9807fad3293fd96a7ca38f54c80dbdda3686c285977c25032d464854a88085",
     },
+    "outliers-states": {
+        "json": "6e96b5825c7034a11437f22e9fdbc3750262d9438aa80d7bd02ba81bb79601ba",
+        "human": "be91a9cf94f6dbb942a70eb5649c6a2c4aa48c048a9cf7f273df39771c69db86",
+    },
     "plot": {
         "json": "e9de7a374eb1248ea0f26319e0d19a1122dc2c0f43439af0f90f5b2c9fc344d1",
         "human": "bd63ba83876d35212ebe32508bdb2707eedd7f39cc9d376d290e003f06e80568",
         "svg": "99c531c2169960f70268af9b73a79ba29625aeb29cd4ff1c29709191d95364e4",
+    },
+    "plot-states": {
+        "json": "e45f8bdc110f6f9d0c5aa42633174dfe02f9968acf7a5f5f29f17cd361b01e63",
+        "human": "f38b8b37006247a7fcff4bad1c7851132019d805b8eb8de3c3aaa3448da00f3c",
+        "svg": "e703647824faf9ee33b3706d7dc0a86c9e4b6708126c6a96435a779958270d40",
     },
     "proptest": {
         "json": "8af8219f02b71f69ccceca1259440b1d4340082105ba199b71a1076b0bede23f",
@@ -323,11 +356,12 @@ def test_stdout_bytes_pinned(capsys, monkeypatch, tiny_csv, reg_csv, name):
     # relative paths keep the command echo in the report the same in every run
     monkeypatch.chdir(Path(tiny_csv).parent)
     Path("const.csv").write_text("y\n2\n2\n2\n", encoding="utf-8")
+    Path("states.csv").write_text(STATES_CSV, encoding="utf-8")
     got = {}
     for mode, extra in (("json", ["--json"]), ("human", [])):
         assert run_command([*GOLDEN_ARGV[name], *extra]) == 0
         got[mode] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    if name == "plot":
+    if GOLDEN_ARGV[name][0] == "plot":
         got["svg"] = hashlib.sha256(Path("panels.svg").read_bytes()).hexdigest()
     assert got == GOLDEN_SHA256[name]
 
