@@ -36,7 +36,7 @@ import functools
 import math
 import os
 import sys
-from operator import itemgetter
+from itertools import compress
 from typing import TYPE_CHECKING
 
 from .dataio import Dataset, ingest_csv
@@ -279,7 +279,7 @@ def _diagnostics_payload(args, alpha: float):
     design = _design_from(dataset, predictor_names, not args.no_intercept)
     table = diagnostics.residual_diagnostics(design, Sample(dataset.column(args.response)))
     labels = dataset.row_labels or tuple(str(i) for i in range(table.n))
-    outliers = [labels[row.index] for row in table.rows if diagnostics.is_outlier(row, alpha)]
+    outliers = list(compress(labels, table.outliers(alpha).tolist()))
     return dataset, design, table, labels, outliers
 
 
@@ -295,12 +295,22 @@ def _cmd_outliers(args, alpha: float):
             {"label": labels[i], "gap": g} for i, g in diagnostics.residual_gaps(table)
         ],
     }
-    # report rows are the row label plus the DiagnosticsRow fields; only a
-    # flagged row holds NaN (its undefined fields), set to None here once
-    rows = [{"label": label, **vars(row)} for label, row in zip(labels, table.rows)]
-    for row in filter(itemgetter("flagged"), rows):
-        row.update({k: None for k, v in row.items() if v != v})
-    return results, {"any_outlier": bool(outliers)}, dataset, tuple(rows)
+    # report rows are the row label plus the DiagnosticsRow fields, read off
+    # the table's columns; only a flagged row holds NaN (its undefined
+    # fields), set to None here once
+    columns = [getattr(table, name).tolist() for name in table.COLUMNS]
+    for i in table.flagged.nonzero()[0].tolist():
+        for values in columns:
+            if values[i] != values[i]:
+                values[i] = None
+    rows = [
+        {"label": label, "index": i, "leverage": h, "raw_residual": e, "standardized": r,
+         "studentized": t, "outlier_p_value": p, "bonferroni_p_value": bonferroni, "gap": gap,
+         "flagged": flagged}
+        for label, i, h, e, r, t, p, bonferroni, gap, flagged
+        in zip(labels, range(table.n), *columns, table.flagged.tolist())
+    ]
+    return results, {"any_outlier": bool(outliers)}, dataset, rows
 
 
 def _cmd_simulate(args, alpha: float):

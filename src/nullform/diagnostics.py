@@ -20,8 +20,11 @@ directly from the augmented residuals e_j + h_ji e_i / (1 - h_i), j != i,
 with h_ji = Q_j . Q_i, losing at most one bit.
 
 Each column of the table is one array whose row states (tested, untested,
-flagged) are set by masks, and the rows are zipped from those columns.
-`is_outlier` is the one outlier rule, shared by the CLI report and the plot.
+flagged) are set by masks.  The table holds those arrays and no row records:
+`outliers`, `plot` and `residual_gaps` read the columns, and `rows` is a view
+built on first access.  `is_outlier` is the one outlier rule for a row and
+`DiagnosticsTable.outliers` the same rule over the columns, the mask the CLI
+report and the plot share.
 
 The per-row augmented nested F-test and the leave-one-out formula
 t_i = e_i / sqrt(s_(i)^2 (1 - h_i)) are independent oracles in the tests.
@@ -29,6 +32,7 @@ t_i = e_i / sqrt(s_(i)^2 (1 - h_i)) are independent oracles in the tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,17 +80,63 @@ class DiagnosticsRow:
     flagged: bool = False
 
 
-@dataclass(frozen=True)
+def _read_only(values, dtype) -> np.ndarray:
+    column = np.array(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
+
+
 class DiagnosticsTable:
-    rows: tuple[DiagnosticsRow, ...]
-    n: int
-    p: int
-    # fitted values of the base model in row order; empty when a table is
-    # rebuilt from its rows alone
-    fitted: tuple[float, ...] = ()
+    """Per-observation diagnostics as columns, in observation order.
+
+    Each name in COLUMNS is a read-only float64 array; a flagged row holds
+    NaN in the five residual columns.  `flagged` is a read-only bool array
+    and `fitted` the base model's fitted values, empty when a table is
+    rebuilt from its rows alone.  `rows` holds the same numbers as
+    DiagnosticsRow records, built on first access.
+
+    `DiagnosticsTable(rows, n=, p=, fitted=)` converts rows, whose indexes
+    must run 0, 1, ..., to columns; `from_columns` takes the arrays.
+    """
+
+    # the float columns, in DiagnosticsRow field order
+    COLUMNS = ("leverage", "raw_residual", "standardized", "studentized",
+               "outlier_p_value", "bonferroni_p_value", "gap")
+
+    def __init__(self, rows=(), n: int = 0, p: int = 0, fitted=()):
+        rows = tuple(rows)
+        if any(row.index != i for i, row in enumerate(rows)):
+            raise ValueError("diagnostics rows must be given in index order 0, 1, ...")
+        cells = [[getattr(row, name) for row in rows] for name in (*self.COLUMNS, "flagged")]
+        self._fill(n, p, fitted, *cells)
+
+    @classmethod
+    def from_columns(cls, n: int, p: int, fitted, *columns) -> DiagnosticsTable:
+        """A table over arrays: `columns` are the COLUMNS in order, then flagged."""
+        table = cls.__new__(cls)
+        table._fill(n, p, fitted, *columns)
+        return table
+
+    def _fill(self, n, p, fitted, *columns) -> None:
+        *floats, flagged = columns
+        self.n, self.p = n, p
+        self.fitted = _read_only(fitted, np.float64)
+        for name, values in zip(self.COLUMNS, floats):
+            setattr(self, name, _read_only(values, np.float64))
+        self.flagged = _read_only(flagged, np.bool_)
+
+    @functools.cached_property
+    def rows(self) -> tuple[DiagnosticsRow, ...]:
+        columns = (getattr(self, name).tolist() for name in self.COLUMNS)
+        return tuple(map(DiagnosticsRow, range(len(self)), *columns, self.flagged.tolist()))
+
+    def outliers(self, alpha: float) -> np.ndarray:
+        """Bool mask of the rows that test as outliers at level alpha:
+        `is_outlier` over the columns (NaN p-values compare False)."""
+        return ~self.flagged & (self.outlier_p_value <= alpha)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.flagged)
 
     def __iter__(self):
         return iter(self.rows)
@@ -139,9 +189,8 @@ def residual_diagnostics(x: DesignMatrix, y: Sample) -> DiagnosticsTable:
     # untested rows read r = t = gap = 0 and Bonferroni 1; flagged rows NaN
     r, t = np.where(tested, r, 0.0), np.where(tested, t, 0.0)
     columns = (r, t, p_out, np.minimum(1.0, n * p_out), np.abs(t - r))
-    masked = (np.where(flagged, np.nan, c).tolist() for c in columns)
-    rows = map(DiagnosticsRow, range(n), h.tolist(), e.tolist(), *masked, flagged.tolist())
-    return DiagnosticsTable(rows=tuple(rows), n=n, p=p, fitted=tuple(fitted.tolist()))
+    masked = (np.where(flagged, np.nan, c) for c in columns)
+    return DiagnosticsTable.from_columns(n, p, fitted, h, e, *masked, flagged)
 
 
 def map_standardized_to_studentized(r: float, n: int, p1: int) -> float:
@@ -160,8 +209,10 @@ def residual_gaps(table: DiagnosticsTable) -> list[tuple[int, float]]:
 
     Flagged rows carry undefined residuals and are omitted.
     """
-    pairs = [(row.index, row.gap) for row in table.rows if not row.flagged]
-    return sorted(pairs, key=lambda item: (-item[1], item[0]))
+    kept = np.flatnonzero(~table.flagged)
+    # a stable sort of the kept indexes, which ascend, breaks ties by index
+    order = kept[np.argsort(-table.gap[kept], kind="stable")]
+    return list(zip(order.tolist(), table.gap[order].tolist()))
 
 
 def is_outlier(row: DiagnosticsRow, alpha: float) -> bool:

@@ -10,16 +10,24 @@ and labeled; everything else is a small circle.
 No plotting dependency is used on purpose: golden-file tests require byte
 determinism, so every coordinate is formatted with a fixed precision and
 elements are emitted in row order.
+
+The plot reads the diagnostics table's columns.  Each panel maps its x and y
+columns to pixels with `_Panel.px`/`py` over whole arrays, and formats all its
+points with one `%` over a template joined in row order: `_CIRCLE` for a plain
+point, `_DIAMOND` and the escaped label, with `%` doubled, for an outlier.
+The F panels square with CPython's `v ** 2`, which calls libm `pow`; `v * v`
+and `np.square` differ from it in the last bit on some doubles, which could
+move a pixel's last digit.
 """
 
 from __future__ import annotations
 
-import math
-from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
-from .diagnostics import DiagnosticsTable, is_outlier
+import numpy as np
+
+from .diagnostics import DiagnosticsTable
 from .errors import DomainError
 
 __all__ = ["emit_residual_plots"]
@@ -33,6 +41,14 @@ _POINT_STYLE = 'fill="#44709d"'
 _OUTLIER_STYLE = 'fill="#b83232"'
 # a point that is not an outlier; %.2f formats as _fmt does
 _CIRCLE = f'<circle cx="%.2f" cy="%.2f" r="3" {_POINT_STYLE}/>'
+# an outlier: a diamond of half-width 5 around (x, y), then its label at
+# (x + 7, y - 7), whose escaped text follows
+_DIAMOND = (
+    f'<path d="M %.2f %.2f L %.2f %.2f L %.2f %.2f L %.2f %.2f Z" {_OUTLIER_STYLE}/>\n'
+    f'<text x="%.2f" y="%.2f" font-size="10" fill="#b83232">'
+)
+# which of a diamond's ten values a circle takes: x and y, slots 0 and 3
+_CIRCLE_SLOTS = np.array([True, False, False, True, False, False, False, False, False, False])
 
 
 def escape(text: str) -> str:
@@ -48,8 +64,10 @@ def _tick_label(v: float) -> str:
     return f"{v:.4g}"
 
 
-def _axis_range(values: Sequence[float]) -> tuple[float, float]:
-    finite = [v for v in values if math.isfinite(v)]
+def _axis_range(values: np.ndarray) -> tuple[float, float]:
+    # Python's min and max over the finite values in row order: which of
+    # 0.0 and -0.0 they return is defined
+    finite = values[np.isfinite(values)].tolist()
     if not finite:
         return -1.0, 1.0
     lo, hi = min(finite), max(finite)
@@ -57,6 +75,12 @@ def _axis_range(values: Sequence[float]) -> tuple[float, float]:
         return lo - 1.0, hi + 1.0
     pad = 0.05 * (hi - lo)
     return lo - pad, hi + pad
+
+
+def _squares(values: np.ndarray) -> np.ndarray:
+    # CPython's v ** 2 calls libm pow, whose last bit differs from v * v and
+    # np.square on some doubles
+    return np.array([v ** 2 for v in values.tolist()])
 
 
 class _Panel:
@@ -125,19 +149,24 @@ class _Panel:
             )
         return out
 
-    def diamond(self, x: float, y: float, label: str) -> list[str]:
-        """An outlier: a filled diamond and its label."""
-        xp, yp = self.px(x), self.py(y)
+    def points(self, xs, ys, outlier, names) -> str:
+        """The drawn points in row order, as lines of text: a circle for a
+        plain point, a diamond and its label for an outlier.  xs and ys are
+        float64 arrays of the points whose coordinates are both finite,
+        `outlier` their bool mask and `names` the outliers' labels in order."""
+        if not len(xs):
+            return ""
+        # px and py over whole arrays round as they do point by point: the
+        # denominators are Python scalars and each element sees the same
+        # operations in the same order
+        xp, yp = self.px(xs), self.py(ys)
+        templates = [_CIRCLE] * len(xs)
+        for i, name in zip(outlier.nonzero()[0].tolist(), names):
+            templates[i] = _DIAMOND + escape(name).replace("%", "%%") + "</text>"
         d = 5.0
-        diamond = (
-            f"M {_fmt(xp)} {_fmt(yp - d)} L {_fmt(xp + d)} {_fmt(yp)} "
-            f"L {_fmt(xp)} {_fmt(yp + d)} L {_fmt(xp - d)} {_fmt(yp)} Z"
-        )
-        return [
-            f'<path d="{diamond}" {_OUTLIER_STYLE}/>',
-            f'<text x="{_fmt(xp + 7)}" y="{_fmt(yp - 7)}" font-size="10" '
-            f'fill="#b83232">{escape(label)}</text>',
-        ]
+        values = np.column_stack(
+            (xp, yp - d, xp + d, yp, xp, yp + d, xp - d, yp, xp + 7, yp - 7))
+        return "\n".join(templates) % tuple(values[outlier[:, None] | _CIRCLE_SLOTS].tolist())
 
 
 def emit_residual_plots(
@@ -165,19 +194,20 @@ def emit_residual_plots(
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
 
-    rows = [r for r in table.rows if not r.flagged]
-    xs = [fitted[r.index] for r in rows]
+    # flagged rows are drawn in no panel
+    kept = ~table.flagged
+    xs = np.asarray(fitted, dtype=np.float64)[kept]
     x_range = _axis_range(xs)
-    names = labels if labels is not None else [str(i) for i in range(table.n)]
-    # decided once for all four panels; a row with no finite x is drawn in none
-    x_finite = list(map(math.isfinite, xs))
-    marks = [(x, is_outlier(r, alpha), names[r.index]) for x, r in zip(xs, rows)]
-    marks = list(compress(marks, x_finite))
+    index = kept.nonzero()[0]
+    name_of = str if labels is None else labels.__getitem__
+    outlier = table.outliers(alpha)[kept]
+    standardized = table.standardized[kept]
+    studentized = table.studentized[kept]
     series = [
-        ("standardized residuals", [r.standardized for r in rows]),
-        ("studentized residuals", [r.studentized for r in rows]),
-        ("squared standardized (F null form)", [r.standardized**2 for r in rows]),
-        ("squared studentized (F traditional form)", [r.studentized**2 for r in rows]),
+        ("standardized residuals", standardized),
+        ("studentized residuals", studentized),
+        ("squared standardized (F null form)", _squares(standardized)),
+        ("squared studentized (F traditional form)", _squares(studentized)),
     ]
 
     parts = [
@@ -188,17 +218,17 @@ def emit_residual_plots(
         f'font-family="monospace">',
         f'<rect x="0" y="0" width="{2 * _PANEL_W}" height="{2 * _PANEL_H}" fill="#ffffff"/>',
     ]
+    x_finite = np.isfinite(xs)
     for k, (title, ys) in enumerate(series):
         panel = _Panel(k % 2, k // 2, title, x_range, _axis_range(ys))
         parts.extend(panel.frame("fitted value", title))
-        px, py = panel.px, panel.py
-        for (x, outlier, name), y in zip(marks, compress(ys, x_finite)):
-            if not math.isfinite(y):
-                continue
-            if outlier:
-                parts.extend(panel.diamond(x, y, name))
-            else:
-                parts.append(_CIRCLE % (px(x), py(y)))
+        # a point is drawn where both coordinates are finite
+        drawn = x_finite & np.isfinite(ys)
+        marked = outlier[drawn]
+        names = map(name_of, index[drawn][marked].tolist())
+        points = panel.points(xs[drawn], ys[drawn], marked, names)
+        if points:
+            parts.append(points)
     parts.append("</svg>")
     document = "\n".join(parts) + "\n"
 

@@ -351,10 +351,9 @@ GOLDEN_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
-def test_stdout_bytes_pinned(capsys, monkeypatch, tiny_csv, reg_csv, name):
-    # relative paths keep the command echo in the report the same in every run
-    monkeypatch.chdir(Path(tiny_csv).parent)
+def golden_hashes(capsys, name) -> dict:
+    """sha256 of the stdout of GOLDEN_ARGV[name], with --json and without, and
+    of the SVG a plot writes; run in the directory of tiny.csv and reg.csv."""
     Path("const.csv").write_text("y\n2\n2\n2\n", encoding="utf-8")
     Path("states.csv").write_text(STATES_CSV, encoding="utf-8")
     got = {}
@@ -363,7 +362,28 @@ def test_stdout_bytes_pinned(capsys, monkeypatch, tiny_csv, reg_csv, name):
         got[mode] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     if GOLDEN_ARGV[name][0] == "plot":
         got["svg"] = hashlib.sha256(Path("panels.svg").read_bytes()).hexdigest()
-    assert got == GOLDEN_SHA256[name]
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+def test_stdout_bytes_pinned(capsys, monkeypatch, tiny_csv, reg_csv, name):
+    # relative paths keep the command echo in the report the same in every run
+    monkeypatch.chdir(Path(tiny_csv).parent)
+    assert golden_hashes(capsys, name) == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["outliers", "outliers-states", "plot", "plot-states"])
+def test_diagnostics_commands_build_no_row_record(capsys, monkeypatch, reg_csv, name):
+    # outliers and plot read the table's columns: a DiagnosticsRow built
+    # anywhere on their path would raise here
+    from nullform.diagnostics import DiagnosticsRow
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a DiagnosticsRow was built")
+
+    monkeypatch.setattr(DiagnosticsRow, "__init__", refuse)
+    monkeypatch.chdir(Path(reg_csv).parent)
+    assert golden_hashes(capsys, name) == GOLDEN_SHA256[name]
 
 
 def test_human_output_prints_infinities(capsys, tmp_path):

@@ -35,6 +35,7 @@ from nullform.linmodel import (
 )
 from nullform.sample import Sample
 from nullform.specfun import cdf, cdf_array, fisher_f, quantile, student_t
+from nullform.svgplot import emit_residual_plots
 
 
 def loo_studentized(xarr, yarr):
@@ -339,7 +340,8 @@ class TestRowStates:
     def assert_same(x, y):
         table = residual_diagnostics(x, y)
         oracle = row_by_row_diagnostics(x, y)
-        assert (table.n, table.p, table.fitted) == (oracle.n, oracle.p, oracle.fitted)
+        assert (table.n, table.p) == (oracle.n, oracle.p)
+        assert table.fitted.tolist() == oracle.fitted.tolist()
         assert list(map(repr, table.rows)) == list(map(repr, oracle.rows))
         return table
 
@@ -428,6 +430,54 @@ class TestOutlierRule:
             label for label, row in zip("abcdefgh", table) if is_outlier(row, 0.05)
         ] == ["d"]
         self.assert_rule(table)
+
+
+class TestColumns:
+    """The table's column forms against the row forms they replace."""
+
+    @pytest.mark.parametrize("unit_leverage, exact, spike", [
+        (True, False, 40.0), (True, True, -6.0), (False, True, 0.0)])
+    def test_table_rebuilt_from_its_rows(self, unit_leverage, exact, spike):
+        # as the benchmark's plot check rebuilds one, from DiagnosticsRow records
+        x, y = TestRowStates.design(3, 24, 3, unit_leverage, exact, spike, False)
+        table = residual_diagnostics(x, y)
+        again = DiagnosticsTable(table.rows, n=table.n, p=table.p, fitted=table.fitted)
+        for name in (*DiagnosticsTable.COLUMNS, "flagged", "fitted"):
+            column = getattr(again, name)
+            assert column.dtype == getattr(table, name).dtype
+            assert not column.flags.writeable
+            np.testing.assert_array_equal(column, getattr(table, name))  # NaN equals NaN
+        assert (again.n, again.p, len(again)) == (table.n, table.p, len(table))
+        assert emit_residual_plots(again, again.fitted, alpha=0.5) == (
+            emit_residual_plots(table, table.fitted, alpha=0.5))
+
+    def test_rows_must_come_in_index_order(self):
+        x, y = TestRowStates.design(3, 12, 2, False, False, 0.0, False)
+        rows = residual_diagnostics(x, y).rows
+        with pytest.raises(ValueError, match="index order"):
+            DiagnosticsTable(rows[::-1], n=12, p=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), alpha=st.sampled_from([0.01, 0.05, 0.5]))
+    def test_outlier_mask_and_gap_order(self, data, alpha):
+        # p-values and gaps drawn partly from small pools, so that some p
+        # equal alpha exactly and some gaps tie; flagged rows hold NaN
+        n = data.draw(st.integers(min_value=1, max_value=30))
+        cells = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+        flagged = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        p = data.draw(st.lists(st.sampled_from([0.0, 0.01, 0.05, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                               min_size=n, max_size=n))
+        gap = data.draw(st.lists(st.sampled_from([0.0, 0.5, 2.0, math.inf]) | st.floats(0.0, 1e6),
+                                 min_size=n, max_size=n))
+        undefined = np.where(flagged, np.nan, 1.0)
+        r, t = data.draw(cells), data.draw(cells)
+        table = DiagnosticsTable.from_columns(
+            n, 2, (), data.draw(cells), data.draw(cells), undefined * r, undefined * t,
+            undefined * p, undefined * np.minimum(1.0, n * np.array(p)), undefined * gap,
+            flagged)
+        assert table.outliers(alpha).tolist() == [is_outlier(row, alpha) for row in table.rows]
+        pairs = [(row.index, row.gap) for row in table.rows if not row.flagged]
+        assert residual_gaps(table) == sorted(pairs, key=lambda item: (-item[1], item[0]))
 
 
 class TestMap:
