@@ -154,8 +154,6 @@ class _Panel:
         plain point, a diamond and its label for an outlier.  xs and ys are
         float64 arrays of the points whose coordinates are both finite,
         `outlier` their bool mask and `names` the outliers' labels in order."""
-        if not len(xs):
-            return ""
         # px and py over whole arrays round as they do point by point: the
         # denominators are Python scalars and each element sees the same
         # operations in the same order
