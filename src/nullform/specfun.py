@@ -373,9 +373,14 @@ def _beta_at_array(z, c, a: float, b: float):
     out = np.zeros(z.shape)
     low = (z > 0.0) & (z <= c)
     high = z > c
-    zl, cl, zh, ch = z[low], c[low], z[high], c[high]
-    out[low] = _reg_inc_beta_array(zl / (zl + cl), a, b)
-    out[high] = 1.0 - _reg_inc_beta_array(ch / (zh + ch), b, a)
+    # a side with no element is skipped; the low one is empty unless some
+    # |t| reaches sqrt(nu)
+    if low.any():
+        zl, cl = z[low], c[low]
+        out[low] = _reg_inc_beta_array(zl / (zl + cl), a, b)
+    if high.any():
+        zh, ch = z[high], c[high]
+        out[high] = 1.0 - _reg_inc_beta_array(ch / (zh + ch), b, a)
     return out
 
 

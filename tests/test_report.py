@@ -174,8 +174,49 @@ SCALARS = st.one_of(
     TRICKY_TEXT,
 )
 FLAT_ROW = st.dictionaries(KEYS, SCALARS, min_size=1, max_size=6)
+
+
+# the values of one column of flat rows, by kind
+COLUMN_VALUES = {
+    "float": st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]),
+    "int": st.integers() | st.integers(min_value=10**20, max_value=10**400),
+    "bool": st.booleans(),
+    "none": st.none(),
+    "str": TRICKY_TEXT,
+    "mixed": SCALARS,
+}
+
+
+@st.composite
+def column_rows(draw, canonical=False):
+    """Rows that share one key set, each column of one kind, each row with
+    its own insertion order; then, unless `canonical`, maybe a NaN or +-inf
+    in one column and maybe non-str keys; and maybe one row that lacks a key
+    or adds one."""
+    keys = draw(st.lists(KEYS, min_size=1, max_size=5, unique=True))
+    kinds = {k: draw(st.sampled_from(sorted(COLUMN_VALUES))) for k in keys}
+    rows = [dict(draw(st.permutations([(k, draw(COLUMN_VALUES[kinds[k]])) for k in keys])))
+            for _ in range(draw(st.integers(min_value=1, max_value=6)))]
+    i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+    key = draw(st.sampled_from(keys))
+    if not canonical and draw(st.booleans()):
+        rows[i][key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    changes = ["none", "drop", "add"] + ([] if canonical else ["non-str", "non-str in one row"])
+    change = draw(st.sampled_from(changes))
+    if change == "drop":
+        del rows[i][key]
+    elif change == "add":
+        rows[i][draw(KEYS.filter(lambda k: k not in keys))] = draw(SCALARS)
+    elif change.startswith("non-str"):
+        other = draw(st.sampled_from([0, 7, True, None]))
+        for row in rows if change == "non-str" else [rows[i]]:
+            row[other] = row.pop(key)
+    return rows
+
+
 PAYLOAD = st.recursive(
-    SCALARS | FLAT_ROW | st.lists(FLAT_ROW, max_size=4),
+    SCALARS | FLAT_ROW | st.lists(FLAT_ROW, max_size=4) | column_rows(canonical=True),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
@@ -185,9 +226,24 @@ PAYLOAD = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
+def assert_written_like_the_oracle(rows):
+    """rows as the diagnostics and as a list one level deeper in results:
+    the indent encoder's bytes, an exact round trip, and the caller's rows
+    neither changed nor held by the report."""
+    before = repr(rows)
+    report = sample_report(results={"rows": rows, "n": len(rows)}, diagnostics=tuple(rows))
+    text = report.to_json()
+    assert text == oracle(report)
+    assert AnalysisReport.from_json(text) == report
+    assert repr(rows) == before
+    held = [*report.diagnostics, *report.results["rows"]]
+    assert not {id(row) for row in rows if isinstance(row, (dict, list))} & set(map(id, held))
+
+
+@settings(max_examples=500, deadline=None)
 @given(results=st.dictionaries(KEYS, PAYLOAD, max_size=6),
-       rows=st.none() | st.lists(FLAT_ROW, max_size=5) | st.lists(PAYLOAD, max_size=3))
+       rows=st.none() | st.lists(FLAT_ROW, max_size=5) | st.lists(PAYLOAD, max_size=3)
+       | column_rows())
 def test_to_json_equals_the_indent_encoder(results, rows):
     report = sample_report(results=results, decisions={"k": results},
                            diagnostics=None if rows is None else tuple(rows))
@@ -195,6 +251,37 @@ def test_to_json_equals_the_indent_encoder(results, rows):
     assert text == oracle(report)
     assert json.loads(text)["results"] == json.loads(json.dumps(results))
     assert AnalysisReport.from_json(text) == report
+    if rows is not None:
+        assert_written_like_the_oracle(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [{"a": 1.5, "b": "x", "c": True}, {"c": False, "a": -2.0, "b": "y"},
+     {"b": "z", "c": None, "a": 3}],
+    [{"a": 1.0, "b": 2.0}, {"a": 3.0}],
+    [{"a": 1.0}, {"a": 2.0, "b": 3.0}],
+    [{"a": 1.0, "b": 2.0}, {"a": 3.0, "c": 4.0}],
+    [{2: 1.0, True: "t", None: None}, {2: 2.0, True: "u", None: 5}],
+    [{"a": 1.0, 2: 1.0, "2": 3.0}, {"a": 2.0, 2: 4.0, "2": 5.0}],
+    [{"a": 1.0, "b": math.nan}, {"a": 2.0, "b": 3.0}],
+    [{"a": math.inf, "b": 1.0}, {"a": -math.inf, "b": None}],
+    [{"s": ",", "t": '"'}, {"s": "\\", "t": "\n"}, {"s": "},\n  {", "t": "\u2028"},
+     {"s": "é中😀", "t": ""}],
+    [{"},\n    {": 1, "é": ",", '"': "\\"}, {"},\n    {": 2, "é": "}", '"': "\u2028"}],
+    [{"x": -0.0}, {"x": 5e-324}, {"x": 1.7976931348623157e308},
+     {"x": 1.7976931348623157e308}],
+    [{"v": 1e308, "w": 1}, {"v": 10**400, "w": 2.5}, {"v": 1e308, "w": math.nan}],
+    [{"b": True, "i": 10**30, "n": None, "m": "1,2"},
+     {"b": False, "i": -7, "n": None, "m": 3.5}, {"b": True, "i": 0, "n": None, "m": 4}],
+    [{"only": 1.0}],
+    [{"a": 1, "b": [1, 2]}, {"a": 2, "b": {"c": 1}}],
+    [{"a": 1}, {}],
+], ids=["insertion-orders", "row-lacks-a-key", "row-adds-a-key", "row-swaps-a-key",
+        "non-str-keys", "colliding-keys", "nan-in-one-column", "inf-in-one-column",
+        "tricky-strings", "tricky-keys", "float-extremes", "overflowing-sums",
+        "scalar-and-mixed-columns", "one-cell", "nested-values", "empty-row"])
+def test_rows_of_every_shape_equal_the_indent_encoder(rows):
+    assert_written_like_the_oracle(rows)
 
 
 def test_empty_containers_and_lists_of_rows():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy import special as sps
 from scipy import stats as sst
 
+from nullform import specfun
 from nullform.errors import DomainError
 from nullform.specfun import (
     _CF_MAX_ITER,
@@ -22,6 +23,7 @@ from nullform.specfun import (
     _TINY,
     DistParams,
     Family,
+    _beta_args,
     _beta_cf,
     _beta_cf_array,
     _reg_inc_beta_array,
@@ -331,6 +333,41 @@ class TestOneReduction:
         # that forms them as 1 - I loses most or all of their digits
         assert cdf(d, x) == pytest.approx(want, rel=1e-12, abs=0.0)
         assert cdf_array(d, np.array([x]))[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d, xs", [
+        # every |t| below sqrt(nu): the low side is empty
+        (student_t(9.0), [0.0, -0.0, 1.5, -2.9, 1e-300, math.nextafter(3.0, 0.0)]),
+        # every |t| at or beyond sqrt(nu): the high side is empty
+        (student_t(9.0), [3.0, -3.0, 40.0, -1e300, math.inf]),
+        # d1 x above d2 everywhere, then at or below it, then never positive
+        (fisher_f(4.0, 2.0), [0.6, 3.0, 1e300, math.inf]),
+        (fisher_f(4.0, 2.0), [0.5, 0.25, 5e-324]),
+        (fisher_f(4.0, 2.0), [0.0, -0.0, -1.0, -math.inf]),
+        (fisher_f(4.0, 2.0), []),
+    ])
+    def test_one_sided_and_empty_splits(self, d, xs, monkeypatch):
+        x = np.array(xs, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            args = _beta_args(d, x)
+        # the split as it was, evaluating both sides even when one is empty
+        z, c = np.broadcast_arrays(*args[:2])
+        a, b = args[2:]
+        both = np.zeros(z.shape)
+        low = (z > 0.0) & (z <= c)
+        high = z > c
+        both[low] = _reg_inc_beta_array(z[low] / (z[low] + c[low]), a, b)
+        both[high] = 1.0 - _reg_inc_beta_array(c[high] / (z[high] + c[high]), b, a)
+        assert _hex(cdf_array(d, x)) == _hex(law_level_cdf_array(d, x))
+        sizes = []
+
+        def kernel(u, a, b):
+            sizes.append(u.size)
+            return _reg_inc_beta_array(u, a, b)
+
+        monkeypatch.setattr(specfun, "_reg_inc_beta_array", kernel)
+        assert _hex(specfun._beta_at_array(*args)) == _hex(both)
+        # one kernel call per side that holds an element, none on an empty one
+        assert sorted(sizes) == sorted(n for n in (low.sum(), high.sum()) if n)
 
 
 def two_step_beta_cf(a, b, x):
