@@ -162,7 +162,8 @@ def oracle(report):
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-# strings that stress the row-boundary rewrite and the escapes
+# strings that stress the comma split of encoded columns, the row fragments
+# and the escapes
 TRICKY_TEXT = st.text(alphabet=st.sampled_from(
     ['"', "\\", "}", ",", "{", "[", "]", "\n", " ", ":", "a", "é", "中", " ", "😀"]),
     max_size=8) | st.sampled_from(["},", '},\n    {', "}]", "null", ""])
