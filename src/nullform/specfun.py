@@ -373,8 +373,8 @@ def _beta_at_array(z, c, a: float, b: float):
     out = np.zeros(z.shape)
     low = (z > 0.0) & (z <= c)
     high = z > c
-    # a side with no element is skipped; the low one is empty unless some
-    # |t| reaches sqrt(nu)
+    # the kernel runs only on a side that holds an element; for t the low
+    # side is empty unless some |t| reaches sqrt(nu)
     if low.any():
         zl, cl = z[low], c[low]
         out[low] = _reg_inc_beta_array(zl / (zl + cl), a, b)
