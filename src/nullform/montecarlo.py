@@ -16,12 +16,15 @@ stream of any other cell.  Results are therefore bit-identical no matter how
 replicates are partitioned across workers, and two scenarios never share
 draws (they live in different domains).  The generator works through blocks
 of 2^16 cells and mixes each block in place, in buffers allocated once per
-draw; a normal draw's first polar attempt runs over the whole block, and
-only its rejected cells are gathered for retries.  The proportion scenario
-counts successes one block of replicates at a time, comparing each raw word
-with the integer threshold below which its uniform falls under p, and looks
-both z forms up in a table of `proportion._z_forms` over the success counts
-that occur.
+worker of a draw; a normal draw's first polar attempt runs over the whole
+block, and only its rejected cells are gathered for retries.  The blocks of
+a draw are spread over one thread per CPU in the process's affinity mask, at
+most one per block; there is no option, `taskset` limits it, and the results
+are bit-identical for any number of workers.  The proportion scenario counts
+successes one block of replicates at a time, comparing each raw word with
+the integer threshold below which its uniform falls under p, and tallies its
+rates from the histogram of success counts, with both z forms evaluated by
+`proportion._z_forms` once per count that occurs.
 
 Scenario domains: 1 = response noise, 2 = design entries, 3 = Bernoulli
 trials.
@@ -36,9 +39,11 @@ evaluated at every ordered replicate in one `cdf_array` call.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -74,8 +79,9 @@ _DOMAIN_TRIALS = 3
 _MAX_POLAR_ATTEMPTS = 64
 
 # cells drawn per block: each block is mixed in buffers of this many cells,
-# allocated once per draw and reused by every block, so one large draw never
-# faults in fresh pages for full-size temporaries
+# allocated once per worker of a draw and reused by every block that worker
+# draws, so one large draw never faults in fresh pages for full-size
+# temporaries
 _BLOCK_CELLS = 1 << 16
 
 
@@ -89,11 +95,15 @@ def _mix64(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return x
 
 
-def _cell_keys(seed: int, domain: int, start: int, count: int,
+def _domain_key(seed: int, domain: int) -> np.uint64:
+    """The mixed key of one (seed, domain) stream, shared by all its cells."""
+    key = np.array([(seed + domain * _DOMAIN_SALT) & _MASK], np.uint64)
+    return _mix64(key, np.empty(1, np.uint64))[0]
+
+
+def _cell_keys(domain_key: np.uint64, start: int, count: int,
                tmp: np.ndarray | None = None) -> np.ndarray:
     """Keys of cells [start, start+count); tmp is scratch of at least count words."""
-    domain_key = np.array([(seed + domain * _DOMAIN_SALT) & _MASK], np.uint64)
-    _mix64(domain_key, np.empty(1, np.uint64))
     keys = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     keys *= _STREAM_SALT
     keys += domain_key
@@ -140,25 +150,80 @@ def _unit_threshold(p: float) -> int:
     return lo
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _spread(work: Callable[[range, Any], None], starts: range,
+            scratch: Callable[[], Any]) -> None:
+    """Run work(share, buffers) over every block start, one worker per CPU.
+
+    There are min(CPUs, blocks) workers; worker i takes starts[i::workers]
+    and its own buffers from scratch(), all made here before any thread
+    starts, so every buffer comes from the calling thread's malloc arena.
+    Worker 0 runs in the calling thread, so a one-block draw starts no
+    thread.  Every thread is joined before return, and the first exception
+    any worker raised is then raised here.  work must write only the output
+    slices of its own blocks, and call no public function of this module:
+    the tracer's wrappers around those are not thread-safe.
+    """
+    workers = max(1, min(_cpus(), len(starts)))
+    buffers = [scratch() for _ in range(workers)]
+    errors: list[BaseException] = []
+
+    def run(i: int) -> None:
+        try:
+            work(starts[i::workers], buffers[i])
+        except BaseException as exc:  # raised in the calling thread below
+            errors.append(exc)
+
+    threads: list[threading.Thread] = []
+    try:
+        for i in range(1, workers):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def uniform_cells(seed: int, domain: int, start: int, count: int) -> np.ndarray:
     """count uniforms on (0, 1], one per cell, for cells [start, start+count)."""
     out = np.empty(count)
-    tmp = np.empty(min(count, _BLOCK_CELLS), np.uint64)
-    for lo in range(0, count, _BLOCK_CELLS):
-        block = out[lo:lo + _BLOCK_CELLS]
-        keys = _cell_keys(seed, domain, start + lo, block.size, tmp)
-        _to_unit(_raw(keys, 0, keys, tmp), block)
+    domain_key = _domain_key(seed, domain)
+
+    def work(share: range, tmp: np.ndarray) -> None:
+        for lo in share:
+            block = out[lo:lo + _BLOCK_CELLS]
+            keys = _cell_keys(domain_key, start + lo, block.size, tmp)
+            _to_unit(_raw(keys, 0, keys, tmp), block)
+
+    size = min(count, _BLOCK_CELLS)
+    _spread(work, range(0, count, _BLOCK_CELLS), lambda: np.empty(size, np.uint64))
     return out
 
 
 def normal_cells(seed: int, domain: int, start: int, count: int) -> np.ndarray:
     """count standard normals, one per cell, for cells [start, start+count)."""
     out = np.empty(count)
-    scratch = _polar_scratch(min(count, _BLOCK_CELLS))
-    for lo in range(0, count, _BLOCK_CELLS):
-        block = out[lo:lo + _BLOCK_CELLS]
-        keys = _cell_keys(seed, domain, start + lo, block.size, scratch[1])
-        _fill_normals(block, keys, scratch)
+    domain_key = _domain_key(seed, domain)
+
+    def work(share: range, scratch: tuple[np.ndarray, ...]) -> None:
+        for lo in share:
+            block = out[lo:lo + _BLOCK_CELLS]
+            keys = _cell_keys(domain_key, start + lo, block.size, scratch[1])
+            _fill_normals(block, keys, scratch)
+
+    size = min(count, _BLOCK_CELLS)
+    _spread(work, range(0, count, _BLOCK_CELLS), lambda: _polar_scratch(size))
     return out
 
 
@@ -217,22 +282,27 @@ def _trial_successes(seed: int, replicates: int, n: int, p: float) -> np.ndarray
     count of the row's trial-domain uniforms below p, read from their raw
     words without forming the uniforms."""
     threshold = np.uint64(_unit_threshold(p) << 11)
+    domain_key = _domain_key(seed, _DOMAIN_TRIALS)
     # whole rows per block; a row of more than a block is counted in parts
     rows = max(1, _BLOCK_CELLS // n)
     width = min(n, _BLOCK_CELLS)
     size = min(rows, replicates) * width
-    tmp = np.empty(size, np.uint64)
-    below = np.empty(size, np.float32)
     ones = np.ones(width, np.float32)
     successes = np.zeros(replicates)
-    for lo in range(0, replicates, rows):
-        m = min(rows, replicates - lo)
-        for col in range(0, n, width):
-            w = min(width, n - col)
-            keys = _cell_keys(seed, _DOMAIN_TRIALS, lo * n + col, m * w, tmp)
-            hits = np.less(_raw(keys, 0, keys, tmp), threshold, out=below[:m * w])
-            # sums of at most a block of zeros and ones are exact in float32
-            successes[lo:lo + m] += hits.reshape(m, w) @ ones[:w]
+
+    def work(share: range, scratch: tuple[np.ndarray, np.ndarray]) -> None:
+        tmp, below = scratch
+        for lo in share:
+            m = min(rows, replicates - lo)
+            for col in range(0, n, width):
+                w = min(width, n - col)
+                keys = _cell_keys(domain_key, lo * n + col, m * w, tmp)
+                hits = np.less(_raw(keys, 0, keys, tmp), threshold, out=below[:m * w])
+                # sums of at most a block of zeros and ones are exact in float32
+                successes[lo:lo + m] += hits.reshape(m, w) @ ones[:w]
+
+    _spread(work, range(0, replicates, rows),
+            lambda: (np.empty(size, np.uint64), np.empty(size, np.float32)))
     return successes.astype(np.int64)
 
 
@@ -327,14 +397,15 @@ def _nested_statistics(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, int, int
         return (*_f_forms(ss2given1, sse12, sse1, n, p1, p2), p1, p2)
 
 
-def _proportion_z(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(z_null, z_wald) per replicate for the proportion scenario, by count."""
-    successes = _trial_successes(cfg.seed, cfg.replicates, cfg.n, cfg.p0 + cfg.effect)
-    k_min = int(successes.min())
-    table = np.array([_z_forms(k, cfg.n, cfg.p0)
-                      for k in range(k_min, int(successes.max()) + 1)]).T
-    z_null, z_wald = table[:, successes - k_min]
-    return z_null, z_wald
+def _proportion_table(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(replicates, z_null, z_wald) for each success count that occurs in the
+    proportion scenario: a histogram of the counts, with both z forms once
+    per count."""
+    hist = np.bincount(_trial_successes(cfg.seed, cfg.replicates, cfg.n,
+                                        cfg.p0 + cfg.effect))
+    counts = np.flatnonzero(hist)
+    z_null, z_wald = np.array([_z_forms(int(k), cfg.n, cfg.p0) for k in counts]).T
+    return hist[counts], z_null, z_wald
 
 
 def simulate_size_power(cfg: SimConfig) -> SizePowerResult:
@@ -350,8 +421,11 @@ def simulate_size_power(cfg: SimConfig) -> SizePowerResult:
     """
     alpha = cfg.alpha
     ks_statistic = None
+    # replicates behind each entry of the reject arrays: one each for t and
+    # F, the replicates with that success count for the proportion scenario
+    weight = None
     if cfg.scenario is Scenario.PROPORTION:
-        z_null, z_wald = _proportion_z(cfg)
+        weight, z_null, z_wald = _proportion_table(cfg)
         z_crit = normal_critical(alpha)
         reject_trad = np.abs(z_wald) >= z_crit
         reject_null = np.abs(z_null) >= z_crit
@@ -371,10 +445,13 @@ def simulate_size_power(cfg: SimConfig) -> SizePowerResult:
             i = np.arange(m)
             ks_statistic = float(np.max(np.maximum((i + 1) / m - f, f - i / m)))
 
+    def replicates_where(where: np.ndarray) -> int:
+        return int(np.count_nonzero(where) if weight is None else weight[where].sum())
+
     return SizePowerResult(
-        reject_rate_trad=float(reject_trad.mean()),
-        reject_rate_null=float(reject_null.mean()),
-        disagreements=int(np.count_nonzero(reject_trad != reject_null)),
+        reject_rate_trad=replicates_where(reject_trad) / cfg.replicates,
+        reject_rate_null=replicates_where(reject_null) / cfg.replicates,
+        disagreements=replicates_where(reject_trad != reject_null),
         ks_statistic=ks_statistic,
     )
 

@@ -3,6 +3,8 @@ bytes, scenario sizes, null-law KS checks, and power monotonicity."""
 
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,15 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sst
 
-from nullform.errors import DomainError
+from nullform import montecarlo
+from nullform.errors import DomainError, NumericError
 from nullform.montecarlo import (
     _BLOCK_CELLS,
     Scenario,
     SimConfig,
     _cell_keys,
+    _domain_key,
     _fill_normals,
     _nested_statistics,
-    _proportion_z,
+    _proportion_table,
     _raw,
     _to_unit,
     _trial_successes,
@@ -28,7 +32,7 @@ from nullform.montecarlo import (
     simulate_size_power,
     uniform_cells,
 )
-from nullform.specfun import beta_params, cdf, quantile, student_t
+from nullform.specfun import beta_params, cdf, normal_critical, quantile, student_t
 
 
 class TestGenerator:
@@ -81,7 +85,7 @@ class TestGenerator:
         # all cell keys at once; a short last block reads a prefix of the
         # reused buffers
         start = 1234
-        keys = _cell_keys(9, 1, start, count)
+        keys = _cell_keys(_domain_key(9, 1), start, count)
         whole = np.empty(count)
         _fill_normals(whole, keys)
         assert np.array_equal(normal_cells(seed=9, domain=1, start=start, count=count), whole)
@@ -97,15 +101,35 @@ class TestGenerator:
     ])
     def test_blocked_proportion_matches_one_array(self, replicates, n, p0):
         # blocks of replicates (several blocks; one replicate per block when
-        # n exceeds a block) give the z statistics of a single draw
+        # n exceeds a block), tallied from the histogram of success counts,
+        # give the rates and disagreements of a single draw tallied per
+        # replicate
         cfg = SimConfig(replicates=replicates, seed=4, n=n, scenario=Scenario.PROPORTION,
                         p0=p0, effect=0.02)
         u = uniform_cells(cfg.seed, 3, 0, replicates * n).reshape(replicates, n)
-        p_hat = (u < cfg.p0 + cfg.effect).sum(axis=1) / n
-        z_null, z_wald = _proportion_z(cfg)
-        assert np.array_equal(z_null, (p_hat - p0) / math.sqrt(p0 * (1.0 - p0) / n))
-        with np.errstate(divide="ignore"):
-            assert np.array_equal(z_wald, (p_hat - p0) / np.sqrt(p_hat * (1.0 - p_hat) / n))
+        successes = (u < cfg.p0 + cfg.effect).sum(axis=1)
+
+        def z_forms(k):
+            p_hat = k / n
+            with np.errstate(divide="ignore"):
+                return ((p_hat - p0) / math.sqrt(p0 * (1.0 - p0) / n),
+                        (p_hat - p0) / np.sqrt(p_hat * (1.0 - p_hat) / n))
+
+        z_null, z_wald = z_forms(successes)
+        z_crit = normal_critical(cfg.alpha)
+        reject_trad = np.abs(z_wald) >= z_crit
+        reject_null = np.abs(z_null) >= z_crit
+        res = simulate_size_power(cfg)
+        assert res.reject_rate_trad == float(reject_trad.mean())
+        assert res.reject_rate_null == float(reject_null.mean())
+        assert res.disagreements == int(np.count_nonzero(reject_trad != reject_null))
+        # one table entry per count that occurs, with its replicates and both
+        # z forms as written out above
+        counts, replicates_per_count = np.unique(successes, return_counts=True)
+        weight, table_null, table_wald = _proportion_table(cfg)
+        assert np.array_equal(weight, replicates_per_count)
+        assert np.array_equal(table_null, z_forms(counts)[0])
+        assert np.array_equal(table_wald, z_forms(counts)[1])
 
     @settings(max_examples=40, deadline=None)
     @given(p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
@@ -192,12 +216,88 @@ DRAW_SHA256 = {
 }
 
 
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
 @pytest.mark.parametrize("cells", sorted(DRAW_SHA256))
 def test_draw_bytes_pinned(cells):
-    def sha(a):
-        return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+    assert (_sha(normal_cells(*cells)), _sha(uniform_cells(*cells))) == DRAW_SHA256[cells]
 
-    assert (sha(normal_cells(*cells)), sha(uniform_cells(*cells))) == DRAW_SHA256[cells]
+
+class TestWorkers:
+    """Blocks spread over one worker per CPU: the draws, the counts and the
+    simulation results are the same bytes for any number of workers."""
+
+    COUNTS = [_BLOCK_CELLS - 1, _BLOCK_CELLS, _BLOCK_CELLS + 1, 2 * _BLOCK_CELLS + 3,
+              5 * _BLOCK_CELLS // 2]
+
+    @staticmethod
+    def _simulations():
+        # the proportion scenario counts trials in rows of 16, 4096 rows a block
+        return [simulate_size_power(SimConfig(replicates=count // 16, seed=9, n=16,
+                                              scenario=scenario, p1=1, p2=2))
+                for count in TestWorkers.COUNTS for scenario in Scenario]
+
+    @pytest.fixture
+    def fast_switching(self):
+        # hand the interpreter lock over often, so that workers interleave
+        # between any two numpy calls
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_results_do_not_depend_on_workers(self, monkeypatch, fast_switching, workers):
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
+        simulations = self._simulations()
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: workers)
+        for count in self.COUNTS:
+            keys = _cell_keys(_domain_key(9, 1), 1234, count)
+            whole = np.empty(count)
+            _fill_normals(whole, keys)
+            uniforms = _to_unit(_raw(keys, 0))
+            assert normal_cells(9, 1, 1234, count).tobytes() == whole.tobytes()
+            assert uniform_cells(9, 1, 1234, count).tobytes() == uniforms.tobytes()
+        # rows of 16 and rows longer than a block, counted in parts
+        rows = [(count // 16, 16) for count in self.COUNTS] + [(3, _BLOCK_CELLS + 7)]
+        for replicates, n in rows:
+            trials = _cell_keys(_domain_key(9, 3), 0, replicates * n)
+            u = _to_unit(_raw(trials, 0)).reshape(replicates, n)
+            assert np.array_equal(_trial_successes(9, replicates, n, 0.3),
+                                  (u < 0.3).sum(axis=1))
+        assert {cells: (_sha(normal_cells(*cells)), _sha(uniform_cells(*cells)))
+                for cells in DRAW_SHA256} == DRAW_SHA256
+        assert self._simulations() == simulations
+
+    def test_worker_error_is_raised_after_every_join(self, monkeypatch):
+        # one polar attempt per cell: every block has rejected cells left, so
+        # every worker raises
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 3)
+        monkeypatch.setattr(montecarlo, "_MAX_POLAR_ATTEMPTS", 1)
+        before = threading.active_count()
+        with pytest.raises(NumericError):
+            normal_cells(1, 1, 0, 5 * _BLOCK_CELLS // 2)
+        assert threading.active_count() == before
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-block draw started a thread")
+
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 5)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        assert normal_cells(2, 1, 0, _BLOCK_CELLS).size == _BLOCK_CELLS
+        assert uniform_cells(2, 1, 0, _BLOCK_CELLS).size == _BLOCK_CELLS
+        assert _trial_successes(2, _BLOCK_CELLS // 16, 16, 0.3).size == _BLOCK_CELLS // 16
+        # a one-block simulation: 2000 replicates of 10 cells
+        cfg = SimConfig(replicates=2000, seed=2, n=10, scenario=Scenario.ONE_SAMPLE_T)
+        assert simulate_size_power(cfg).ks_statistic is not None
+        # and a multi-block draw does start one
+        with pytest.raises(AssertionError, match="started a thread"):
+            normal_cells(2, 1, 0, _BLOCK_CELLS + 1)
 
 
 class TestConfigValidation:
