@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "dataio": ("Dataset", "file_digest", "ingest_csv"),
     "diagnostics": (
-        "DiagnosticsRow", "DiagnosticsTable", "is_outlier", "leverage",
+        "DiagnosticsRow", "DiagnosticsTable", "leverage",
         "map_standardized_to_studentized", "residual_diagnostics", "residual_gaps",
     ),
     "errors": (

@@ -296,13 +296,9 @@ def _cmd_outliers(args, alpha: float):
         ],
     }
     # report rows are the row label plus the DiagnosticsRow fields, read off
-    # the table's columns; only a flagged row holds NaN (its undefined
-    # fields), set to None here once
+    # the table's columns; a flagged row's undefined fields stay NaN, which
+    # the report writes as null and the human table prints as --
     columns = [getattr(table, name).tolist() for name in table.COLUMNS]
-    for i in table.flagged.nonzero()[0].tolist():
-        for values in columns:
-            if values[i] != values[i]:
-                values[i] = None
     rows = [
         {"label": label, "index": i, "leverage": h, "raw_residual": e, "standardized": r,
          "studentized": t, "outlier_p_value": p, "bonferroni_p_value": bonferroni, "gap": gap,
@@ -412,8 +408,9 @@ def _print_human(report: AnalysisReport, results: dict, rows) -> None:
 
 def _assemble_report(args: argparse.Namespace, argv):
     """Check alpha, run the command and build its one report.  The human table
-    also gets the raw results and rows, where +-inf is not yet null; with --json
-    the payload (dataset, rows) is freed when this returns, before printing."""
+    also gets the raw results and rows, where NaN and +-inf are not yet null;
+    with --json the payload (dataset, rows) is freed when this returns, before
+    printing."""
     alpha = _check_alpha(args.alpha)
     results, decisions, dataset, rows = args.run(args, alpha)
     digest, warnings = None, ()

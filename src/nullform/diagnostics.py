@@ -22,9 +22,9 @@ with h_ji = Q_j . Q_i, losing at most one bit.
 Each column of the table is one array whose row states (tested, untested,
 flagged) are set by masks.  The table holds those arrays and no row records:
 `outliers`, `plot` and `residual_gaps` read the columns, and `rows` is a view
-built on first access.  `is_outlier` is the one outlier rule for a row and
-`DiagnosticsTable.outliers` the same rule over the columns, the mask the CLI
-report and the plot share.
+built on first access.  `DiagnosticsTable.outliers` is the one outlier rule,
+not flagged and p <= alpha, over the columns: the mask the CLI report and
+the plot share.
 
 The per-row augmented nested F-test and the leave-one-out formula
 t_i = e_i / sqrt(s_(i)^2 (1 - h_i)) are independent oracles in the tests.
@@ -53,7 +53,6 @@ __all__ = [
     "residual_diagnostics",
     "map_standardized_to_studentized",
     "residual_gaps",
-    "is_outlier",
 ]
 
 # a hat diagonal this close to 1 means the observation determines its own
@@ -131,8 +130,8 @@ class DiagnosticsTable:
         return tuple(map(DiagnosticsRow, range(len(self)), *columns, self.flagged.tolist()))
 
     def outliers(self, alpha: float) -> np.ndarray:
-        """Bool mask of the rows that test as outliers at level alpha:
-        `is_outlier` over the columns (NaN p-values compare False)."""
+        """Bool mask of the rows that test as outliers at level alpha: not
+        flagged (a flagged row has no test) and p <= alpha."""
         return ~self.flagged & (self.outlier_p_value <= alpha)
 
     def __len__(self) -> int:
@@ -213,8 +212,3 @@ def residual_gaps(table: DiagnosticsTable) -> list[tuple[int, float]]:
     # a stable sort of the kept indexes, which ascend, breaks ties by index
     order = kept[np.argsort(-table.gap[kept], kind="stable")]
     return list(zip(order.tolist(), table.gap[order].tolist()))
-
-
-def is_outlier(row: DiagnosticsRow, alpha: float) -> bool:
-    """Outlier at level alpha: not flagged (a flagged row has no test), p <= alpha."""
-    return not row.flagged and row.outlier_p_value <= alpha

@@ -333,9 +333,13 @@ class SimConfig:
     p0: float = 0.5
 
     def __post_init__(self) -> None:
-        if not isinstance(self.replicates, int) or self.replicates < 1:
+        for name in ("replicates", "seed", "n", "p1", "p2"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+        if self.replicates < 1:
             raise DomainError(f"replicates must be a positive integer, got {self.replicates!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")

@@ -3,8 +3,8 @@
 Reports always carry both statistic forms and both p-value routes of the
 invoked test, the decisions at the requested level, and provenance (command
 echo, input content digest, tool version).  Serialization uses sorted keys
-and bans NaN/Infinity so that equal reports are byte-equal; non-finite
-diagnostic entries are mapped to null before they reach the encoder.
+and bans NaN/Infinity so that equal reports are byte-equal.  The report is
+the one place that maps non-finite values to null, when it is built.
 
 `to_json` writes the bytes of `json.dumps(payload, sort_keys=True, indent=2,
 allow_nan=False)`, but not through that call, which always runs the
@@ -15,15 +15,17 @@ are encoded as null placeholders and spliced in, which is exact because an
 encoded string never holds a raw line break.
 
 A list of flat rows (dicts that share one set of str keys and hold only
-scalars: every diagnostics row, every gap_ranking entry) is handled as
-columns, both when the report is built and when it is written.  Built, each
-column's types are checked once and only a column whose floats do not sum
-to a finite value is scanned for NaN and infinities; the rows are copied.
-Written, a column of strings is encoded value by value with
-`encode_basestring_ascii` (a column that mixes strings and other scalars, by
-the C encoder value by value), any other column with one C-encoder call split
-at its commas (the text of a number, a bool or null holds none), and one join
-interleaves the columns with the key and indent text in sorted-key order.
+scalars: every diagnostics row, every gap_ranking entry) is gathered into
+columns once, when the report is built: each column's types are checked
+once, and only a column whose floats do not sum to a finite value is scanned
+for NaN and infinities, which become null in the column and in the copied
+rows.  The copies are kept as a `_Rows` list that carries the gathered
+(keys, columns, types) table, and the report is written from that table: a
+column of strings is encoded value by value with `encode_basestring_ascii`
+(a column that mixes strings and other scalars, by the C encoder value by
+value), any other column with one C-encoder call split at its commas (the
+text of a number, a bool or null holds none), and one join interleaves the
+columns with the key and indent text in sorted-key order.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ __all__ = ["AnalysisReport", "REPORT_VERSION"]
 REPORT_VERSION = "0.1.0"
 
 _INDENT = "  "
-# the canonical containers; encoded, a tuple is a list
-_NESTED = frozenset({dict, list, tuple})
 # the scalars a canonical container holds; a float only when finite
 _SCALARS = frozenset({str, int, bool, float, type(None)})
 _STR = frozenset({str})
@@ -53,13 +53,15 @@ _encode_str = json.encoder.encode_basestring_ascii
 _encode_scalar = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
 
 
-def _settled(keys, values) -> bool:
-    """Whether keys and values are canonical as they are: str keys, scalar
-    values, and floats whose sum is finite (a sum of finite floats that
-    overflows only sends them down the value-by-value path)."""
-    values = list(values)
-    return (_STR.issuperset(map(type, keys)) and _SCALARS.issuperset(map(type, values))
-            and math.isfinite(sum(filter(_is_float, values))))
+class _Rows(list):
+    """Canonical flat rows and the (sorted keys, columns, column types) table
+    gathered from them, which the report is written from."""
+
+    __slots__ = ("table",)
+
+
+# the canonical containers; encoded, a tuple or _Rows is a list
+_NESTED = frozenset({dict, list, tuple, _Rows})
 
 
 def _columns(rows):
@@ -87,30 +89,29 @@ def _jsonable(value):
     """Recursively convert to JSON-encodable content; non-finite floats
     become null (flagged diagnostics rows carry NaN by contract).
 
-    A container of settled scalars is checked by C-level passes and copied.
     A list of flat rows (every diagnostics row, every gap_ranking entry) is
-    checked column by column and copied row by row, and only its columns
-    whose floats do not sum to a finite value are scanned for non-finite
-    floats.  Every other container is converted value by value."""
+    gathered into columns once and copied row by row into a `_Rows`, and
+    only its columns whose floats do not sum to a finite value are scanned
+    for non-finite floats, which become null in the column and the copies.
+    Every other container is converted value by value."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
-        if _settled(value, value.values()):
-            return dict(value)
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        if _settled((), value):
-            return list(value)
         table = _columns(value)
         if table is None:
             return [_jsonable(v) for v in value]
-        rows = list(map(dict, value))
-        for key, column, kinds in zip(*table):
+        rows = _Rows(map(dict, value))
+        keys, columns, types = rows.table = table
+        for j, (key, column, kinds) in enumerate(zip(keys, columns, types)):
             if float in kinds and not math.isfinite(
                     sum(column) if kinds == _FLOAT else sum(filter(_is_float, column))):
+                columns[j] = column = [
+                    v if v.__class__ is not float or math.isfinite(v) else None for v in column]
+                types[j] = set(map(type, column))
                 for row, v in zip(rows, column):
-                    if v.__class__ is float and not math.isfinite(v):
-                        row[key] = None
+                    row[key] = v
         return rows
     if isinstance(value, (str, int, bool)) or value is None:
         return value
@@ -154,6 +155,9 @@ def _write_rows(keys, columns, types, depth: int, out: list) -> None:
 def _write(value, depth: int, out: list) -> None:
     """Append the indent-2 text of a canonical container whose opening bracket
     sits at nesting depth `depth`."""
+    if value.__class__ is _Rows:
+        _write_rows(*value.table, depth, out)
+        return
     is_dict = value.__class__ is dict
     start, end = "{}" if is_dict else "[]"
     if not value:
@@ -164,10 +168,6 @@ def _write(value, depth: int, out: list) -> None:
     values = value.values() if is_dict else value
     if _NESTED.isdisjoint(map(type, values)):
         out += (start, inner, _encoder(depth)(value)[1:-1], outer, end)
-        return
-    table = None if is_dict else _columns(value)
-    if table is not None:
-        _write_rows(*table, depth, out)
         return
     # nested containers go through the C encoder as null placeholders, and
     # each is written in its placeholder's place
@@ -197,7 +197,7 @@ class AnalysisReport:
     results: dict
     decisions: dict
     input_digest: str | None = None
-    diagnostics: tuple[dict, ...] | None = None
+    diagnostics: list[dict] | None = None
     warnings: tuple[str, ...] = ()
     version: str = REPORT_VERSION
 
@@ -209,9 +209,7 @@ class AnalysisReport:
         object.__setattr__(self, "results", _jsonable(self.results))
         object.__setattr__(self, "decisions", _jsonable(self.decisions))
         if self.diagnostics is not None:
-            object.__setattr__(
-                self, "diagnostics", tuple(_jsonable(tuple(self.diagnostics)))
-            )
+            object.__setattr__(self, "diagnostics", _jsonable(tuple(self.diagnostics)))
         object.__setattr__(self, "warnings", tuple(str(w) for w in self.warnings))
 
     def to_json(self) -> str:
@@ -223,7 +221,7 @@ class AnalysisReport:
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
-        """Parse to_json output; __post_init__ turns its lists back into tuples,
-        and a key that is not a field (report.schema.json forbids one) raises
-        TypeError."""
+        """Parse to_json output; __post_init__ turns command and warnings back
+        into tuples, and a key that is not a field (report.schema.json forbids
+        one) raises TypeError."""
         return cls(**json.loads(text))

@@ -6,6 +6,7 @@ ranking."""
 
 import json
 import math
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from nullform.diagnostics import (
     _LEVERAGE_TOL,
     DiagnosticsRow,
     DiagnosticsTable,
-    is_outlier,
     leverage,
     map_standardized_to_studentized,
     residual_diagnostics,
@@ -387,23 +387,24 @@ class TestRowStates:
 
 
 class TestOutlierRule:
-    """is_outlier against the two expressions it replaced: the report's
-    `not flagged and p <= alpha` and the plot's `isfinite(p) and p <= alpha`."""
+    """table.outliers against the two row expressions it replaced: the
+    report's `not flagged and p <= alpha` and the plot's
+    `isfinite(p) and p <= alpha`."""
 
     @staticmethod
     def assert_rule(table):
         ps = sorted({r.outlier_p_value for r in table if math.isfinite(r.outlier_p_value)})
         for alpha in (0.01, 0.05, 0.5, *ps[:3], *ps[-2:]):
-            for row in table:
+            for row, outlier in zip(table, table.outliers(alpha).tolist()):
                 p = row.outlier_p_value
-                assert is_outlier(row, alpha) is (not row.flagged and p <= alpha)
-                assert is_outlier(row, alpha) is (math.isfinite(p) and p <= alpha)
+                assert outlier is (not row.flagged and p <= alpha)
+                assert outlier is (math.isfinite(p) and p <= alpha)
 
     def test_table_from_residual_diagnostics(self):
         x, y = TestRowStates.design(5, 30, 3, True, False, 6.0, False)
         table = residual_diagnostics(x, y)
         assert any(row.flagged for row in table)
-        assert any(is_outlier(row, 0.05) for row in table)
+        assert table.outliers(0.05).any()
         self.assert_rule(table)
 
     def test_table_rebuilt_from_json_rows(self, capsys, tmp_path):
@@ -426,9 +427,8 @@ class TestOutlierRule:
             for row in payload["diagnostics"]), n=payload["results"]["n"],
             p=payload["results"]["p"])
         assert table.rows[0].flagged and math.isnan(table.rows[0].outlier_p_value)
-        assert payload["results"]["outliers"] == [
-            label for label, row in zip("abcdefgh", table) if is_outlier(row, 0.05)
-        ] == ["d"]
+        assert payload["results"]["outliers"] == list(
+            compress("abcdefgh", table.outliers(0.05))) == ["d"]
         self.assert_rule(table)
 
 
@@ -475,7 +475,8 @@ class TestColumns:
             n, 2, (), data.draw(cells), data.draw(cells), undefined * r, undefined * t,
             undefined * p, undefined * np.minimum(1.0, n * np.array(p)), undefined * gap,
             flagged)
-        assert table.outliers(alpha).tolist() == [is_outlier(row, alpha) for row in table.rows]
+        assert table.outliers(alpha).tolist() == [
+            not row.flagged and row.outlier_p_value <= alpha for row in table.rows]
         pairs = [(row.index, row.gap) for row in table.rows if not row.flagged]
         assert residual_gaps(table) == sorted(pairs, key=lambda item: (-item[1], item[0]))
 

@@ -317,6 +317,18 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             SimConfig(replicates=1, seed=1, n=4, scenario=Scenario.NESTED_F, p1=2, p2=2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("replicates", True), ("replicates", 2.0), ("seed", False), ("seed", 1.0),
+        ("n", 10.0), ("n", True), ("p1", 1.0), ("p1", True), ("p2", 1.0), ("p2", False),
+    ])
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_rejects_non_integer_or_bool_counts(self, field, value, scenario):
+        # a bool is an int to isinstance, and a float n or p1 would reach
+        # numpy as a shape
+        kwargs = dict(replicates=4, seed=1, n=10, scenario=scenario, p1=1, p2=1)
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            SimConfig(**{**kwargs, field: value})
+
     def test_rejects_impossible_true_proportion(self):
         with pytest.raises(DomainError):
             SimConfig(

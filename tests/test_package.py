@@ -21,7 +21,7 @@ EXPORTS = {
     "REPORT_VERSION", "RankDeficiencyError", "Sample", "Scenario", "SimConfig",
     "SizePowerResult", "TTestResult", "__version__", "beta_params", "cdf",
     "cdf_array", "chi_square", "emit_residual_plots", "f_geometry", "file_digest",
-    "fisher_f", "fit", "geometry", "ingest_csv", "is_outlier", "leverage", "log_beta",
+    "fisher_f", "fit", "geometry", "ingest_csv", "leverage", "log_beta",
     "log_gamma", "lrt_ratio", "map_critical_value", "map_fnull_to_ftrad",
     "map_standardized_to_studentized", "map_t0_to_t", "nested_f_test",
     "normal_cells", "normal_critical", "null_law_check", "pdf", "proportion_test",

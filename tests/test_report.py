@@ -330,13 +330,40 @@ def test_flagged_rows_read_null_in_every_undefined_field(tmp_path):
     path.write_text("\n".join(raw_outlier_rows(40, 1.0)) + "\n", encoding="utf-8")
     argv = ["outliers", "--input", str(path), "--response", "y", "--label-column", "name"]
     report, (_, raw) = cli._assemble_report(cli._build_parser().parse_args(argv), argv)
-    # the rows reach the report with None already set from the flagged mask
+    # the rows reach the report holding NaN, and the report nulls it
     assert [r["flagged"] for r in raw] == [i == 7 for i in range(40)]
     for name in FLAGGED_NAN_FIELDS:
-        assert raw[7][name] is None and report.diagnostics[7][name] is None
+        assert math.isnan(raw[7][name]) and report.diagnostics[7][name] is None
+        assert json.loads(report.to_json())["diagnostics"][7][name] is None
     assert raw[7]["leverage"] == pytest.approx(1.0) and report.diagnostics[7]["label"] == "r7"
     assert all(raw[i][name] is not None for i in range(1, 40) if i != 7
                for name in FLAGGED_NAN_FIELDS)
+
+
+def test_each_row_list_is_gathered_once(tmp_path, monkeypatch):
+    # building and writing an outliers report gathers the diagnostics rows
+    # and the gap ranking into columns once each, and to_json gathers none
+    from nullform import report as report_module
+
+    gathered = []
+
+    def counting(rows):
+        table = columns(rows)
+        if table is not None:
+            gathered.append(table[0])
+        return table
+
+    columns = report_module._columns
+    monkeypatch.setattr(report_module, "_columns", counting)
+    path = tmp_path / "line.csv"
+    path.write_text("\n".join(raw_outlier_rows(40, 1.0)) + "\n", encoding="utf-8")
+    argv = ["outliers", "--input", str(path), "--response", "y", "--label-column", "name"]
+    report, _ = cli._assemble_report(cli._build_parser().parse_args(argv), argv)
+    built = list(gathered)
+    text = report.to_json()
+    assert sorted(built) == sorted([["gap", "label"], sorted(report.diagnostics[0])])
+    assert gathered == built
+    assert text == oracle(report)
 
 
 def test_raw_rows_holding_nan_and_inf_are_canonicalized():
