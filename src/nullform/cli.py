@@ -18,8 +18,8 @@ parent and binds its handler with `set_defaults(run=_cmd_*)`.
 
 Every report is assembled in `_assemble_report`: it checks alpha before any
 command runs, takes the payload `args.run(args, alpha)` returns (results,
-decisions, dataset or None, diagnostics rows or None), and adds the command
-echo, the input digest and the dropped-row warning.
+decisions, dataset or None, the diagnostics as a columns table or None), and
+adds the command echo, the input digest and the dropped-row warning.
 
 Import rule: this module imports only the numpy-free modules (dataio,
 errors, proportion, report, sample, specfun, ttest).  linmodel, diagnostics,
@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 from .dataio import Dataset, ingest_csv
 from .errors import DataError, DomainError, NullformError
 from .proportion import ProportionData, proportion_test
-from .report import AnalysisReport
+from .report import AnalysisReport, _Rows
 from .sample import Sample
 from .specfun import std_normal_cdf
 from .ttest import Geometry, t_test
@@ -287,26 +287,21 @@ def _cmd_outliers(args, alpha: float):
     from . import diagnostics
 
     dataset, design, table, labels, outliers = _diagnostics_payload(args, alpha)
+    ranking = diagnostics.residual_gaps(table)
     results = {
         "response": args.response, "design_columns": design.labels,
         "n": table.n, "p": table.p, "outlier_df": table.n - table.p - 1,
         "outliers": outliers,
-        "gap_ranking": [
-            {"label": labels[i], "gap": g} for i, g in diagnostics.residual_gaps(table)
-        ],
+        "gap_ranking": _Rows({"label": [labels[i] for i, _ in ranking],
+                              "gap": [g for _, g in ranking]}),
     }
-    # report rows are the row label plus the DiagnosticsRow fields, read off
-    # the table's columns; a flagged row's undefined fields stay NaN, which
-    # the report writes as null and the human table prints as --
-    columns = [getattr(table, name).tolist() for name in table.COLUMNS]
-    rows = [
-        {"label": label, "index": i, "leverage": h, "raw_residual": e, "standardized": r,
-         "studentized": t, "outlier_p_value": p, "bonferroni_p_value": bonferroni, "gap": gap,
-         "flagged": flagged}
-        for label, i, h, e, r, t, p, bonferroni, gap, flagged
-        in zip(labels, range(table.n), *columns, table.flagged.tolist())
-    ]
-    return results, {"any_outlier": bool(outliers)}, dataset, rows
+    # the row label plus the DiagnosticsRow fields, as the table's columns; a
+    # flagged row's undefined fields stay NaN, which the report writes as null
+    # and the human table prints as --
+    names = ("label", "index", *table.COLUMNS, "flagged")
+    columns = (labels, range(table.n), *(getattr(table, name).tolist() for name in table.COLUMNS),
+               table.flagged.tolist())
+    return results, {"any_outlier": bool(outliers)}, dataset, _Rows(zip(names, columns))
 
 
 def _cmd_simulate(args, alpha: float):
@@ -369,10 +364,7 @@ def _fmt(value) -> str:
 def _print_human(report: AnalysisReport, results: dict, rows) -> None:
     """The report as a table: -- for an absent or NaN value, inf/-inf for +-inf."""
     print(f"nullform {report.test} (alpha = {_fmt(report.alpha)})")
-    scalar = {
-        k: v for k, v in results.items()
-        if not (isinstance(v, list) and v and isinstance(v[0], dict))
-    }
+    scalar = {k: v for k, v in results.items() if not isinstance(v, _Rows)}
     width = max(len(k) for k in scalar) if scalar else 0
     for key, value in scalar.items():
         print(f"  {key:<{width}}  {_fmt(value)}")
@@ -408,9 +400,9 @@ def _print_human(report: AnalysisReport, results: dict, rows) -> None:
 
 def _assemble_report(args: argparse.Namespace, argv):
     """Check alpha, run the command and build its one report.  The human table
-    also gets the raw results and rows, where NaN and +-inf are not yet null;
-    with --json the payload (dataset, rows) is freed when this returns, before
-    printing."""
+    also gets the raw results and the diagnostics columns table, where NaN and
+    +-inf are not yet null; with --json the payload (dataset, diagnostics) is
+    freed when this returns, before printing."""
     alpha = _check_alpha(args.alpha)
     results, decisions, dataset, rows = args.run(args, alpha)
     digest, warnings = None, ()

@@ -101,34 +101,29 @@ def _domain_key(seed: int, domain: int) -> np.uint64:
     return _mix64(key, np.empty(1, np.uint64))[0]
 
 
-def _cell_keys(domain_key: np.uint64, start: int, count: int,
-               tmp: np.ndarray | None = None) -> np.ndarray:
+def _cell_keys(domain_key: np.uint64, start: int, count: int, tmp: np.ndarray) -> np.ndarray:
     """Keys of cells [start, start+count); tmp is scratch of at least count words."""
     keys = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     keys *= _STREAM_SALT
     keys += domain_key
-    return _mix64(keys, np.empty_like(keys) if tmp is None else tmp[:count])
+    return _mix64(keys, tmp[:count])
 
 
-def _raw(keys: np.ndarray, k: int, out: np.ndarray | None = None,
-         tmp: np.ndarray | None = None) -> np.ndarray:
-    """Raw word k of every cell key, into out (which may be keys itself)."""
+def _raw(keys: np.ndarray, k: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Raw word k of every cell key, into out (which may be keys itself); tmp
+    is scratch of at least as many words."""
     out = np.add(keys, np.uint64((_GOLDEN * (k + 1)) & _MASK), out=out)
-    return _mix64(out, np.empty_like(out) if tmp is None else tmp[:out.size])
+    return _mix64(out, tmp[:out.size])
 
 
-def _to_unit(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _to_unit(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The top 53 bits of each raw word, offset by half a step, scaled to (0, 1].
 
     Raw 0 gives 2**-54 and the top raw word gives exactly 1.0: above 2**52
     the half step ties, and rounding to even makes the values at or above
-    0.5 unevenly spaced.  With out given, raw is scratch and is shifted in
-    place.
+    0.5 unevenly spaced.  raw is scratch and is shifted in place.
     """
-    if out is None:
-        bits, out = raw >> 11, np.empty(raw.shape)
-    else:
-        bits = np.right_shift(raw, 11, out=raw)
+    bits = np.right_shift(raw, 11, out=raw)
     np.add(bits, 0.5, out=out)
     out *= 2.0**-53
     return out
@@ -256,15 +251,13 @@ def _polar_attempt(out: np.ndarray, keys: np.ndarray, k: int,
     return np.flatnonzero((s >= 1.0) | (s == 0.0))
 
 
-def _fill_normals(out: np.ndarray, keys: np.ndarray,
-                  scratch: tuple[np.ndarray, ...] | None = None) -> None:
-    """Polar-method normals into out, one per cell key.
+def _fill_normals(out: np.ndarray, keys: np.ndarray, scratch: tuple[np.ndarray, ...]) -> None:
+    """Polar-method normals into out, one per cell key; scratch is
+    `_polar_scratch` of at least as many cells.
 
     Attempt 0 runs over every cell; only the cells it rejects (about 21.5%)
     are gathered for the later attempts.
     """
-    if scratch is None:
-        scratch = _polar_scratch(keys.size)
     pending = _polar_attempt(out, keys, 0, scratch)
     k = 1
     while pending.size:

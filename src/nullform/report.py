@@ -14,18 +14,18 @@ and the indent of the container's items.  A container's nested containers
 are encoded as null placeholders and spliced in, which is exact because an
 encoded string never holds a raw line break.
 
-A list of flat rows (dicts that share one set of str keys and hold only
-scalars: every diagnostics row, every gap_ranking entry) is gathered into
-columns once, when the report is built: each column's types are checked
-once, and only a column whose floats do not sum to a finite value is scanned
-for NaN and infinities, which become null in the column and in the copied
-rows.  The copies are kept as a `_Rows` list that carries the gathered
-(keys, columns, types) table, and the report is written from that table: a
-column of strings is encoded value by value with `encode_basestring_ascii`
-(a column that mixes strings and other scalars, by the C encoder value by
-value), any other column with one C-encoder call split at its commas (the
-text of a number, a bool or null holds none), and one join interleaves the
-columns with the key and indent text in sorted-key order.
+Flat rows (every diagnostics row, every gap_ranking entry) arrive as a
+`_Rows`, a read-only table of the rows held as columns; the report does not
+look for flat rows in lists, and a list of row dicts (from a library caller
+or `from_json`) is converted and written value by value, to the same bytes.
+Only a column whose floats do not sum to a finite value is scanned for NaN
+and infinities, which become null in a copy of that column.  A `_Rows` is
+written column by column: a column of strings is encoded value by value with
+`encode_basestring_ascii` (a column that mixes strings and other scalars, by
+the C encoder value by value), any other column with one C-encoder call
+split at its commas (the text of a number, a bool or null holds none), and
+one join interleaves the columns with the key and indent text in sorted-key
+order.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, fields
 from functools import cache
 from itertools import chain, repeat
-from operator import itemgetter
 
 __all__ = ["AnalysisReport", "REPORT_VERSION"]
 
@@ -44,8 +43,6 @@ REPORT_VERSION = "0.1.0"
 _INDENT = "  "
 # the scalars a canonical container holds; a float only when finite
 _SCALARS = frozenset({str, int, bool, float, type(None)})
-_STR = frozenset({str})
-_DICT = frozenset({dict})
 _FLOAT = frozenset({float})
 _is_float = float.__instancecheck__
 _encode_str = json.encoder.encode_basestring_ascii
@@ -53,65 +50,68 @@ _encode_str = json.encoder.encode_basestring_ascii
 _encode_scalar = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
 
 
-class _Rows(list):
-    """Canonical flat rows and the (sorted keys, columns, column types) table
-    gathered from them, which the report is written from."""
+class _Rows:
+    """A read-only table of flat rows held as columns: the sorted str keys,
+    one tuple of scalars per key and each column's set of value types.
 
-    __slots__ = ("table",)
+    Built from a mapping (or (key, values) pairs) of equally long columns,
+    which are copied.  Row i, or each row in turn when iterated, is a fresh
+    dict, and the table equals a list of the same row dicts."""
+
+    __slots__ = ("keys", "columns", "types")
+
+    def __init__(self, columns) -> None:
+        columns = dict(columns)
+        self.keys = tuple(sorted(columns))
+        self.columns = tuple(tuple(columns[k]) for k in self.keys)
+        self.types = tuple(frozenset(map(type, column)) for column in self.columns)
+        if (len(set(map(len, self.columns))) != 1 or not all(k.__class__ is str for k in self.keys)
+                or not all(map(_SCALARS.issuperset, self.types))):
+            raise TypeError("rows need str keys and equally long columns of scalars")
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i: int) -> dict:
+        return dict(zip(self.keys, [column[i] for column in self.columns]))
+
+    def __iter__(self):
+        return map(dict, map(zip, repeat(self.keys), zip(*self.columns)))
+
+    def __eq__(self, other):
+        if other.__class__ is _Rows:
+            return self.keys == other.keys and self.columns == other.columns
+        return list(self) == other if isinstance(other, list) else NotImplemented
 
 
 # the canonical containers; encoded, a tuple or _Rows is a list
 _NESTED = frozenset({dict, list, tuple, _Rows})
 
 
-def _columns(rows):
-    """(sorted keys, columns, each column's set of value types) of flat rows:
-    non-empty dicts that share one set of str keys and hold only scalars.
-    None for any other list."""
-    if not rows or not _DICT.issuperset(map(type, rows)):
-        return None
-    keys = rows[0].keys()
-    if not keys or not _STR.issuperset(map(type, keys)) or len(set(map(len, rows))) != 1:
-        return None
-    keys = sorted(keys)
-    try:
-        # rows of equal length that all hold every key share one key set
-        columns = [tuple(map(itemgetter(k), rows)) for k in keys]
-    except KeyError:
-        return None
-    types = [set(map(type, column)) for column in columns]
-    if not all(map(_SCALARS.issuperset, types)):
-        return None
-    return keys, columns, types
-
-
 def _jsonable(value):
     """Recursively convert to JSON-encodable content; non-finite floats
     become null (flagged diagnostics rows carry NaN by contract).
 
-    A list of flat rows (every diagnostics row, every gap_ranking entry) is
-    gathered into columns once and copied row by row into a `_Rows`, and
-    only its columns whose floats do not sum to a finite value are scanned
-    for non-finite floats, which become null in the column and the copies.
-    Every other container is converted value by value."""
+    A `_Rows` is copied with its columns shared, but for each column whose
+    floats do not sum to a finite value: that one is copied with null in
+    place of NaN and +-inf.  Every other container is converted value by
+    value."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        table = _columns(value)
-        if table is None:
-            return [_jsonable(v) for v in value]
-        rows = _Rows(map(dict, value))
-        keys, columns, types = rows.table = table
-        for j, (key, column, kinds) in enumerate(zip(keys, columns, types)):
+        return [_jsonable(v) for v in value]
+    if value.__class__ is _Rows:
+        columns, types = list(value.columns), list(value.types)
+        for j, (column, kinds) in enumerate(zip(columns, types)):
             if float in kinds and not math.isfinite(
                     sum(column) if kinds == _FLOAT else sum(filter(_is_float, column))):
-                columns[j] = column = [
-                    v if v.__class__ is not float or math.isfinite(v) else None for v in column]
-                types[j] = set(map(type, column))
-                for row, v in zip(rows, column):
-                    row[key] = v
+                columns[j] = column = tuple(
+                    v if v.__class__ is not float or math.isfinite(v) else None for v in column)
+                types[j] = frozenset(map(type, column))
+        rows = object.__new__(_Rows)
+        rows.keys, rows.columns, rows.types = value.keys, tuple(columns), tuple(types)
         return rows
     if isinstance(value, (str, int, bool)) or value is None:
         return value
@@ -128,7 +128,7 @@ def _encoder(depth: int):
 
 def _encoded(column, kinds) -> list[str]:
     """The JSON text of each value of a column of canonical scalars."""
-    if kinds == _STR:
+    if kinds == {str}:
         return list(map(_encode_str, column))
     if str in kinds:
         return list(map(_encode_scalar, column))
@@ -155,13 +155,13 @@ def _write_rows(keys, columns, types, depth: int, out: list) -> None:
 def _write(value, depth: int, out: list) -> None:
     """Append the indent-2 text of a canonical container whose opening bracket
     sits at nesting depth `depth`."""
-    if value.__class__ is _Rows:
-        _write_rows(*value.table, depth, out)
-        return
     is_dict = value.__class__ is dict
     start, end = "{}" if is_dict else "[]"
     if not value:
         out.append(start + end)
+        return
+    if value.__class__ is _Rows:
+        _write_rows(value.keys, value.columns, value.types, depth, out)
         return
     inner = "\n" + _INDENT * (depth + 1)
     outer = "\n" + _INDENT * depth
@@ -197,7 +197,7 @@ class AnalysisReport:
     results: dict
     decisions: dict
     input_digest: str | None = None
-    diagnostics: list[dict] | None = None
+    diagnostics: list[dict] | _Rows | None = None
     warnings: tuple[str, ...] = ()
     version: str = REPORT_VERSION
 
@@ -208,8 +208,10 @@ class AnalysisReport:
         object.__setattr__(self, "alpha", _jsonable(self.alpha))
         object.__setattr__(self, "results", _jsonable(self.results))
         object.__setattr__(self, "decisions", _jsonable(self.decisions))
-        if self.diagnostics is not None:
-            object.__setattr__(self, "diagnostics", _jsonable(tuple(self.diagnostics)))
+        rows = self.diagnostics
+        if rows is not None:
+            object.__setattr__(
+                self, "diagnostics", _jsonable(rows if rows.__class__ is _Rows else tuple(rows)))
         object.__setattr__(self, "warnings", tuple(str(w) for w in self.warnings))
 
     def to_json(self) -> str:

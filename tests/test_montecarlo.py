@@ -22,6 +22,7 @@ from nullform.montecarlo import (
     _domain_key,
     _fill_normals,
     _nested_statistics,
+    _polar_scratch,
     _proportion_table,
     _raw,
     _to_unit,
@@ -33,6 +34,28 @@ from nullform.montecarlo import (
     uniform_cells,
 )
 from nullform.specfun import beta_params, cdf, normal_critical, quantile, student_t
+
+
+# the generator helpers write into buffers their callers own; these give
+# each call fresh ones and leave their inputs as they were
+
+def cell_keys(domain_key, start, count):
+    return _cell_keys(domain_key, start, count, np.empty(count, np.uint64))
+
+
+def to_unit(raw):
+    return _to_unit(raw.copy(), np.empty(raw.shape))
+
+
+def uniforms_of(keys):
+    """Uniform 0 of each cell key."""
+    return to_unit(_raw(keys, 0, np.empty_like(keys), np.empty_like(keys)))
+
+
+def normals_of(keys):
+    out = np.empty(keys.size)
+    _fill_normals(out, keys, _polar_scratch(keys.size))
+    return out
 
 
 class TestGenerator:
@@ -47,8 +70,10 @@ class TestGenerator:
         # raw 0 is half a step above 0; the top raw word's half step ties and
         # rounds to even, to exactly 1.0
         raw = np.array([0, 2**64 - 1], np.uint64)
-        assert _to_unit(raw).tolist() == [2.0**-54, 1.0]
-        assert raw.tolist() == [0, 2**64 - 1]
+        out = np.empty(2)
+        assert _to_unit(raw, out) is out and out.tolist() == [2.0**-54, 1.0]
+        # raw is the scratch of the shift
+        assert raw.tolist() == [0, (2**64 - 1) >> 11]
 
     def test_uniform_distribution(self):
         u = uniform_cells(seed=42, domain=3, start=0, count=20_000)
@@ -85,12 +110,11 @@ class TestGenerator:
         # all cell keys at once; a short last block reads a prefix of the
         # reused buffers
         start = 1234
-        keys = _cell_keys(_domain_key(9, 1), start, count)
-        whole = np.empty(count)
-        _fill_normals(whole, keys)
-        assert np.array_equal(normal_cells(seed=9, domain=1, start=start, count=count), whole)
+        keys = cell_keys(_domain_key(9, 1), start, count)
+        assert np.array_equal(normal_cells(seed=9, domain=1, start=start, count=count),
+                              normals_of(keys))
         assert np.array_equal(uniform_cells(seed=9, domain=1, start=start, count=count),
-                              _to_unit(_raw(keys, 0)))
+                              uniforms_of(keys))
 
     @pytest.mark.parametrize("replicates, n, p0", [
         pytest.param(10_000, 30, 0.3, id="10000-30"),
@@ -160,14 +184,14 @@ class TestGenerator:
         q = _unit_threshold(p)
 
         def unit(bits):
-            return float(_to_unit(np.array([bits << 11], np.uint64))[0])
+            return float(to_unit(np.array([bits << 11], np.uint64))[0])
 
         assert unit(q) >= p
         assert q == 0 or unit(q - 1) < p
         edge = q << 11
         words = np.array([w for w in (edge - 2049, edge - 2048, edge - 1, edge, edge + 2047,
                                       edge + 2048) if 0 <= w < 2**64], np.uint64)
-        assert np.array_equal(_to_unit(words) < p, words < np.uint64(edge))
+        assert np.array_equal(to_unit(words) < p, words < np.uint64(edge))
         reps, n = 40, 25
         u = uniform_cells(8, 3, 0, reps * n).reshape(reps, n)
         assert np.array_equal(_trial_successes(8, reps, n, p), (u < p).sum(axis=1))
@@ -256,17 +280,16 @@ class TestWorkers:
         simulations = self._simulations()
         monkeypatch.setattr(montecarlo, "_cpus", lambda: workers)
         for count in self.COUNTS:
-            keys = _cell_keys(_domain_key(9, 1), 1234, count)
-            whole = np.empty(count)
-            _fill_normals(whole, keys)
-            uniforms = _to_unit(_raw(keys, 0))
+            keys = cell_keys(_domain_key(9, 1), 1234, count)
+            whole = normals_of(keys)
+            uniforms = uniforms_of(keys)
             assert normal_cells(9, 1, 1234, count).tobytes() == whole.tobytes()
             assert uniform_cells(9, 1, 1234, count).tobytes() == uniforms.tobytes()
         # rows of 16 and rows longer than a block, counted in parts
         rows = [(count // 16, 16) for count in self.COUNTS] + [(3, _BLOCK_CELLS + 7)]
         for replicates, n in rows:
-            trials = _cell_keys(_domain_key(9, 3), 0, replicates * n)
-            u = _to_unit(_raw(trials, 0)).reshape(replicates, n)
+            trials = cell_keys(_domain_key(9, 3), 0, replicates * n)
+            u = uniforms_of(trials).reshape(replicates, n)
             assert np.array_equal(_trial_successes(9, replicates, n, 0.3),
                                   (u < 0.3).sum(axis=1))
         assert {cells: (_sha(normal_cells(*cells)), _sha(uniform_cells(*cells)))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from nullform import cli
 from nullform.diagnostics import DiagnosticsRow
-from nullform.report import REPORT_VERSION, AnalysisReport
+from nullform.report import REPORT_VERSION, AnalysisReport, _Rows
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "report.schema.json"
 
@@ -156,10 +156,18 @@ FLAGGED_NAN_FIELDS = ("standardized", "studentized", "outlier_p_value",
                       "bonferroni_p_value", "gap")
 
 
+def listed(value):
+    """A columns table as the list of its row dicts, for the oracle."""
+    if isinstance(value, _Rows):
+        return list(value)
+    raise TypeError(f"{type(value).__name__} is not a columns table")
+
+
 def oracle(report):
-    """The bytes to_json promises: the pure-Python indent-2 encoder."""
+    """The bytes to_json promises: the pure-Python indent-2 encoder, with each
+    columns table encoded as the list of its rows."""
     payload = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=listed) + "\n"
 
 
 # strings that stress the comma split of encoded columns, the row fragments
@@ -227,10 +235,28 @@ PAYLOAD = st.recursive(
 )
 
 
+def table_of(rows):
+    """{key: column} of rows that are dicts which all hold the same keys, or
+    None."""
+    if not rows or not all(isinstance(row, dict) for row in rows):
+        return None
+    keys = rows[0].keys()
+    if not keys or any(row.keys() != keys for row in rows):
+        return None
+    return {key: [row[key] for row in rows] for key in keys}
+
+
+ROW_SCALAR_TYPES = (str, int, bool, float, type(None))
+
+
 def assert_written_like_the_oracle(rows):
     """rows as the diagnostics and as a list one level deeper in results:
     the indent encoder's bytes, an exact round trip, and the caller's rows
-    neither changed nor held by the report."""
+    neither changed nor held by the report.  Rows that all hold the same
+    keys are also passed as a `_Rows` built from their columns, which must
+    write the same bytes, round-trip, and leave the caller's column lists
+    unchanged and not held; a table `_Rows` cannot hold (a non-str key, a
+    nested value) raises TypeError."""
     before = repr(rows)
     report = sample_report(results={"rows": rows, "n": len(rows)}, diagnostics=tuple(rows))
     text = report.to_json()
@@ -239,6 +265,25 @@ def assert_written_like_the_oracle(rows):
     assert repr(rows) == before
     held = [*report.diagnostics, *report.results["rows"]]
     assert not {id(row) for row in rows if isinstance(row, (dict, list))} & set(map(id, held))
+
+    columns = table_of(rows)
+    if columns is None:
+        return
+    if not all(isinstance(key, str) for key in columns) or not all(
+            type(v) in ROW_SCALAR_TYPES for column in columns.values() for v in column):
+        with pytest.raises(TypeError):
+            _Rows(columns)
+        return
+    before = repr(columns)
+    table = _Rows(columns)
+    assert table == rows and list(table) == rows and len(table) == len(rows)
+    report = sample_report(results={"rows": table, "n": len(rows)}, diagnostics=table)
+    assert report.to_json() == text == oracle(report)
+    assert AnalysisReport.from_json(text) == report
+    assert repr(columns) == before
+    held = {id(column) for held_table in (report.diagnostics, report.results["rows"])
+            for column in held_table.columns}
+    assert not set(map(id, columns.values())) & held
 
 
 @settings(max_examples=500, deadline=None)
@@ -288,7 +333,8 @@ def test_rows_of_every_shape_equal_the_indent_encoder(rows):
 def test_empty_containers_and_lists_of_rows():
     report = sample_report(
         results={"e": {}, "l": [], "t": (), "nested": [[], {}, [{}], [[]]],
-                 "rows": [{"a": 1}, {"b": "x"}], "mixed": [{"a": 1}, {}, 2]},
+                 "rows": [{"a": 1}, {"b": "x"}], "mixed": [{"a": 1}, {}, 2],
+                 "no_rows": _Rows({"a": [], "b": ()}), "in_list": [_Rows({"a": [1.5]})]},
         diagnostics=({"a": -0.0, "s": "},\n  {"}, {"a": 5e-324, "s": None}),
     )
     assert report.to_json() == oracle(report)
@@ -340,30 +386,26 @@ def test_flagged_rows_read_null_in_every_undefined_field(tmp_path):
                for name in FLAGGED_NAN_FIELDS)
 
 
-def test_each_row_list_is_gathered_once(tmp_path, monkeypatch):
-    # building and writing an outliers report gathers the diagnostics rows
-    # and the gap ranking into columns once each, and to_json gathers none
-    from nullform import report as report_module
-
-    gathered = []
-
-    def counting(rows):
-        table = columns(rows)
-        if table is not None:
-            gathered.append(table[0])
-        return table
-
-    columns = report_module._columns
-    monkeypatch.setattr(report_module, "_columns", counting)
+def test_json_path_builds_no_row_dict(tmp_path, monkeypatch, capsys):
+    # outliers --json hands the report the diagnostics and the gap ranking
+    # as columns tables and writes them column by column: with no way to
+    # build a row dict of a table, it writes the same bytes
     path = tmp_path / "line.csv"
     path.write_text("\n".join(raw_outlier_rows(40, 1.0)) + "\n", encoding="utf-8")
-    argv = ["outliers", "--input", str(path), "--response", "y", "--label-column", "name"]
-    report, _ = cli._assemble_report(cli._build_parser().parse_args(argv), argv)
-    built = list(gathered)
-    text = report.to_json()
-    assert sorted(built) == sorted([["gap", "label"], sorted(report.diagnostics[0])])
-    assert gathered == built
-    assert text == oracle(report)
+    argv = ["outliers", "--input", str(path), "--response", "y", "--label-column", "name",
+            "--json"]
+    assert cli.run_command(argv) == 0
+    text = capsys.readouterr().out
+
+    def no_row(*args):
+        raise AssertionError("a row dict was built")
+
+    monkeypatch.setattr(_Rows, "__getitem__", no_row)
+    monkeypatch.setattr(_Rows, "__iter__", no_row)
+    assert cli.run_command(argv) == 0
+    assert capsys.readouterr().out == text
+    payload = json.loads(text)
+    assert len(payload["diagnostics"]) == 40 and len(payload["results"]["gap_ranking"]) == 39
 
 
 def test_raw_rows_holding_nan_and_inf_are_canonicalized():
