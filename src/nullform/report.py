@@ -7,25 +7,24 @@ and bans NaN/Infinity so that equal reports are byte-equal.  The report is
 the one place that maps non-finite values to null, when it is built.
 
 `to_json` writes the bytes of `json.dumps(payload, sort_keys=True, indent=2,
-allow_nan=False)`, but not through that call, which always runs the
-pure-Python encoder.  It writes the indent-2 frame itself and encodes each
-container with the C encoder, whose item separator is a comma, a line break
-and the indent of the container's items.  A container's nested containers
-are encoded as null placeholders and spliced in, which is exact because an
-encoded string never holds a raw line break.
+allow_nan=False)` with one writer per shape.  A dict is written key by key
+in sorted order, each scalar with the C encoder.  Any other container goes
+through json.dumps's own indent-2 encoder and is re-indented to its depth,
+which is exact because an encoded string never holds a raw line break.
 
 Flat rows (every diagnostics row, every gap_ranking entry) arrive as a
 `_Rows`, a read-only table of the rows held as columns; the report does not
-look for flat rows in lists, and a list of row dicts (from a library caller
-or `from_json`) is converted and written value by value, to the same bytes.
-Only a column whose floats do not sum to a finite value is scanned for NaN
-and infinities, which become null in a copy of that column.  A `_Rows` is
-written column by column: a column of strings is encoded value by value with
-`encode_basestring_ascii` (a column that mixes strings and other scalars, by
-the C encoder value by value), any other column with one C-encoder call
-split at its commas (the text of a number, a bool or null holds none), and
-one join interleaves the columns with the key and indent text in sorted-key
-order.
+look for flat rows in lists a caller builds, and a list of row dicts goes
+through the indent encoder, to the same bytes.  `from_json` reads a parsed
+diagnostics list and gap_ranking back as a `_Rows` when every entry is a
+dict of scalars with the first entry's keys.  Only a column whose floats do
+not sum to a finite value is scanned for NaN and infinities, which become
+null in a copy of that column.  A `_Rows` is written column by column: a
+column of strings is encoded value by value with `encode_basestring_ascii`
+(a column that mixes strings and other scalars, by the C encoder value by
+value), any other column with one C-encoder call split at its commas (the
+text of a number, a bool or null holds none), and one join interleaves the
+columns with the key and indent text in sorted-key order.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from functools import cache
 from itertools import chain, repeat
 
 __all__ = ["AnalysisReport", "REPORT_VERSION"]
@@ -48,6 +46,8 @@ _is_float = float.__instancecheck__
 _encode_str = json.encoder.encode_basestring_ascii
 # C-encoder `encode` of one scalar, or of a list of scalars with bare commas
 _encode_scalar = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
+# json.dumps's indent-2 encoder; a _Rows is encoded as the list of its rows
+_encode_indented = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False, default=list).encode
 
 
 class _Rows:
@@ -56,7 +56,8 @@ class _Rows:
 
     Built from a mapping (or (key, values) pairs) of equally long columns,
     which are copied.  Row i, or each row in turn when iterated, is a fresh
-    dict, and the table equals a list of the same row dicts."""
+    dict, a slice is a list of fresh row dicts, and the table equals a list of
+    the same row dicts."""
 
     __slots__ = ("keys", "columns", "types")
 
@@ -72,7 +73,9 @@ class _Rows:
     def __len__(self) -> int:
         return len(self.columns[0])
 
-    def __getitem__(self, i: int) -> dict:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
         return dict(zip(self.keys, [column[i] for column in self.columns]))
 
     def __iter__(self):
@@ -82,10 +85,6 @@ class _Rows:
         if other.__class__ is _Rows:
             return self.keys == other.keys and self.columns == other.columns
         return list(self) == other if isinstance(other, list) else NotImplemented
-
-
-# the canonical containers; encoded, a tuple or _Rows is a list
-_NESTED = frozenset({dict, list, tuple, _Rows})
 
 
 def _jsonable(value):
@@ -118,14 +117,6 @@ def _jsonable(value):
     raise TypeError(f"cannot serialize {type(value).__name__} into a report")
 
 
-@cache
-def _encoder(depth: int):
-    """C-encoder `encode` for a container at `depth`: sorted keys, no NaN, and
-    a line break plus the indent of depth + 1 after each item's comma."""
-    separators = ("," + "\n" + _INDENT * (depth + 1), ": ")
-    return json.JSONEncoder(sort_keys=True, allow_nan=False, separators=separators).encode
-
-
 def _encoded(column, kinds) -> list[str]:
     """The JSON text of each value of a column of canonical scalars."""
     if kinds == {str}:
@@ -153,40 +144,39 @@ def _write_rows(keys, columns, types, depth: int, out: list) -> None:
 
 
 def _write(value, depth: int, out: list) -> None:
-    """Append the indent-2 text of a canonical container whose opening bracket
-    sits at nesting depth `depth`."""
-    is_dict = value.__class__ is dict
-    start, end = "{}" if is_dict else "[]"
-    if not value:
-        out.append(start + end)
-        return
-    if value.__class__ is _Rows:
+    """Append the indent-2 text of a canonical value at nesting depth `depth`:
+    a non-empty `_Rows` column by column, a non-empty dict key by key, and
+    anything else with the indent encoder, re-indented to `depth`."""
+    if value and value.__class__ is _Rows:
         _write_rows(value.keys, value.columns, value.types, depth, out)
-        return
-    inner = "\n" + _INDENT * (depth + 1)
-    outer = "\n" + _INDENT * depth
-    values = value.values() if is_dict else value
-    if _NESTED.isdisjoint(map(type, values)):
-        out += (start, inner, _encoder(depth)(value)[1:-1], outer, end)
-        return
-    # nested containers go through the C encoder as null placeholders, and
-    # each is written in its placeholder's place
-    items = [value[k] for k in sorted(value)] if is_dict else value
-    if is_dict:
-        value = {k: None if v.__class__ in _NESTED else v for k, v in value.items()}
+    elif value and value.__class__ is dict:
+        inner = "\n" + _INDENT * (depth + 1)
+        start = "{"
+        for key in sorted(value):
+            out.append(start + inner + _encode_str(key) + ": ")
+            start = ","
+            item = value[key]
+            if isinstance(item, (dict, list, tuple, _Rows)):
+                _write(item, depth + 1, out)
+            else:
+                out.append(_encode_scalar(item))
+        out.append("\n" + _INDENT * depth + "}")
     else:
-        value = [None if v.__class__ in _NESTED else v for v in value]
-    separator = "," + inner
-    out += (start, inner)
-    for i, part in enumerate(_encoder(depth)(value)[1:-1].split(separator)):
-        if i:
-            out.append(separator)
-        if items[i].__class__ in _NESTED:
-            out.append(part[:-len("null")])
-            _write(items[i], depth + 1, out)
-        else:
-            out.append(part)
-    out += (outer, end)
+        out.append(_encode_indented(value).replace("\n", "\n" + _INDENT * depth))
+
+
+def _as_rows(value):
+    """A parsed list of flat rows as a `_Rows`: every entry a dict of scalars
+    with the first entry's keys.  Any other value is returned as parsed."""
+    if not value or value.__class__ is not list or value[0].__class__ is not dict:
+        return value
+    keys = value[0].keys()
+    if not keys or not all(row.__class__ is dict and row.keys() == keys for row in value):
+        return value
+    try:
+        return _Rows({key: [row[key] for row in value] for key in keys})
+    except TypeError:  # a nested value
+        return value
 
 
 @dataclass(frozen=True)
@@ -223,7 +213,15 @@ class AnalysisReport:
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
-        """Parse to_json output; __post_init__ turns command and warnings back
-        into tuples, and a key that is not a field (report.schema.json forbids
-        one) raises TypeError."""
-        return cls(**json.loads(text))
+        """Parse to_json output; the diagnostics and results["gap_ranking"]
+        become `_Rows` when they hold flat rows, so that to_json writes them
+        column by column, as it writes a report cli builds.  __post_init__
+        turns command and warnings back into tuples, and a key that is not a
+        field (report.schema.json forbids one) raises TypeError."""
+        payload = json.loads(text)
+        if payload.__class__ is dict:
+            payload["diagnostics"] = _as_rows(payload.get("diagnostics"))
+            results = payload.get("results")
+            if results.__class__ is dict and "gap_ranking" in results:
+                results["gap_ranking"] = _as_rows(results["gap_ranking"])
+        return cls(**payload)

@@ -14,7 +14,7 @@ import pytest
 
 from nullform import cli as cli_module
 from nullform.cli import run_command
-from nullform.report import AnalysisReport
+from nullform.report import AnalysisReport, _Rows
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "report.schema.json"
 
@@ -160,20 +160,6 @@ def test_outliers_report(capsys, reg_csv):
     assert ranking[0]["label"] == "d"
     gaps = [entry["gap"] for entry in ranking]
     assert gaps == sorted(gaps, reverse=True)
-
-
-def test_outliers_report_matches_schema(capsys, reg_csv):
-    jsonschema = pytest.importorskip("jsonschema")
-    schema = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
-    for argv in (
-        ["outliers", "--input", reg_csv, "--response", "y", "--label-column", "name"],
-        ["ttest", "--input", reg_csv, "--mu0", "4", "--column", "y",
-         "--label-column", "name"],
-        ["proptest", "--successes", "3", "--n", "9", "--p0", "0.4"],
-        ["simulate", "--scenario", "t", "--replicates", "200", "--n", "5",
-         "--seed", "1"],
-    ):
-        jsonschema.validate(run_json(capsys, argv), schema)
 
 
 def test_simulate_seed_from_environment(capsys, monkeypatch):
@@ -351,11 +337,17 @@ GOLDEN_SHA256 = {
 }
 
 
+def write_golden_inputs() -> None:
+    """The GOLDEN_ARGV inputs besides tiny.csv and reg.csv, in the current
+    directory."""
+    Path("const.csv").write_text("y\n2\n2\n2\n", encoding="utf-8")
+    Path("states.csv").write_text(STATES_CSV, encoding="utf-8")
+
+
 def golden_hashes(capsys, name) -> dict:
     """sha256 of the stdout of GOLDEN_ARGV[name], with --json and without, and
     of the SVG a plot writes; run in the directory of tiny.csv and reg.csv."""
-    Path("const.csv").write_text("y\n2\n2\n2\n", encoding="utf-8")
-    Path("states.csv").write_text(STATES_CSV, encoding="utf-8")
+    write_golden_inputs()
     got = {}
     for mode, extra in (("json", ["--json"]), ("human", [])):
         assert run_command([*GOLDEN_ARGV[name], *extra]) == 0
@@ -370,6 +362,45 @@ def test_stdout_bytes_pinned(capsys, monkeypatch, tiny_csv, reg_csv, name):
     # relative paths keep the command echo in the report the same in every run
     monkeypatch.chdir(Path(tiny_csv).parent)
     assert golden_hashes(capsys, name) == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+def test_report_matches_schema_and_round_trips(capsys, monkeypatch, tiny_csv, reg_csv, name):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
+    monkeypatch.chdir(Path(tiny_csv).parent)
+    write_golden_inputs()
+    assert run_command([*GOLDEN_ARGV[name], "--json"]) == 0
+    text = capsys.readouterr().out
+    jsonschema.validate(json.loads(text), schema)
+    assert AnalysisReport.from_json(text).to_json() == text
+
+
+@pytest.mark.parametrize("name", ["outliers", "outliers-states"])
+def test_round_trip_reads_rows_as_columns_and_builds_no_row_dict(
+        capsys, monkeypatch, reg_csv, name):
+    # from_json reads the diagnostics and the gap ranking back as the columns
+    # tables cli builds, so to_json writes them column by column
+    monkeypatch.chdir(Path(reg_csv).parent)
+    write_golden_inputs()
+    argv = [*GOLDEN_ARGV[name], "--json"]
+    built, _ = cli_module._assemble_report(cli_module._build_parser().parse_args(argv), argv)
+    assert run_command(argv) == 0
+    text = capsys.readouterr().out
+    again = AnalysisReport.from_json(text)
+    pairs = ((again.diagnostics, built.diagnostics),
+             (again.results["gap_ranking"], built.results["gap_ranking"]))
+    for parsed, table in pairs:
+        assert type(parsed) is _Rows and type(table) is _Rows
+        assert (parsed.keys, parsed.columns, parsed.types) == (table.keys, table.columns,
+                                                               table.types)
+
+    def no_row(*args):
+        raise AssertionError("a row dict was built")
+
+    monkeypatch.setattr(_Rows, "__getitem__", no_row)
+    monkeypatch.setattr(_Rows, "__iter__", no_row)
+    assert AnalysisReport.from_json(text).to_json() == text
 
 
 @pytest.mark.parametrize("name", ["outliers", "outliers-states", "plot", "plot-states"])

@@ -330,6 +330,33 @@ def test_rows_of_every_shape_equal_the_indent_encoder(rows):
     assert_written_like_the_oracle(rows)
 
 
+def test_rows_slice_like_the_list_they_equal():
+    table = _Rows({"a": [1, 2, 3], "b": ("x", "y", "z")})
+    rows = list(table)
+    for part in (slice(0, 2), slice(None, None, -1), slice(1, None), slice(5, None),
+                 slice(-2, None), slice(None, None, 2)):
+        assert table[part] == rows[part]
+    assert table[-1] == rows[-1] and table[0:2] == [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
+    # a slice holds fresh dicts
+    table[0:1][0]["a"] = 9
+    assert table[0]["a"] == 1
+
+
+def test_from_json_reads_flat_rows_as_columns_and_leaves_other_lists():
+    flat = [{"a": 1.5, "b": "x", "c": None}, {"a": 2, "b": "y", "c": True}]
+    report = sample_report(results={"gap_ranking": flat, "other": flat}, diagnostics=flat)
+    again = AnalysisReport.from_json(report.to_json())
+    assert type(again.diagnostics) is _Rows and type(again.results["gap_ranking"]) is _Rows
+    assert type(again.results["other"]) is list
+    assert again == report and again.to_json() == report.to_json()
+    for rows in ([{"a": 1}, {"b": 2}], [{"a": 1}, {"a": 2, "b": 3}], [{"a": [1]}, {"a": [2]}],
+                 [{"a": 1}, 2], [{}, {}], [1, 2], []):
+        report = sample_report(results={"gap_ranking": rows}, diagnostics=rows)
+        again = AnalysisReport.from_json(report.to_json())
+        assert type(again.diagnostics) is list and type(again.results["gap_ranking"]) is list
+        assert again == report and again.to_json() == report.to_json()
+
+
 def test_empty_containers_and_lists_of_rows():
     report = sample_report(
         results={"e": {}, "l": [], "t": (), "nested": [[], {}, [{}], [[]]],
