@@ -330,6 +330,10 @@ class SimConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
+        for name in ("effect", "alpha", "p0"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise DomainError(f"{name} must be a real number, got {value!r}")
         if self.replicates < 1:
             raise DomainError(f"replicates must be a positive integer, got {self.replicates!r}")
         if not 0 <= self.seed < 2**64:

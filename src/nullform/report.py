@@ -8,23 +8,23 @@ the one place that maps non-finite values to null, when it is built.
 
 `to_json` writes the bytes of `json.dumps(payload, sort_keys=True, indent=2,
 allow_nan=False)` with one writer per shape.  A dict is written key by key
-in sorted order, each scalar with the C encoder.  Any other container goes
-through json.dumps's own indent-2 encoder and is re-indented to its depth,
-which is exact because an encoded string never holds a raw line break.
+in sorted order, each scalar with the C encoder.  A list of flat rows is
+held and written as a `_Rows`, a read-only table of the rows held as
+columns.  Any other container goes through json.dumps's own indent-2
+encoder and is re-indented to its depth, which is exact because an encoded
+string never holds a raw line break.
 
-Flat rows (every diagnostics row, every gap_ranking entry) arrive as a
-`_Rows`, a read-only table of the rows held as columns; the report does not
-look for flat rows in lists a caller builds, and a list of row dicts goes
-through the indent encoder, to the same bytes.  `from_json` reads a parsed
-diagnostics list and gap_ranking back as a `_Rows` when every entry is a
-dict of scalars with the first entry's keys.  Only a column whose floats do
-not sum to a finite value is scanned for NaN and infinities, which become
-null in a copy of that column.  A `_Rows` is written column by column: a
-column of strings is encoded value by value with `encode_basestring_ascii`
-(a column that mixes strings and other scalars, by the C encoder value by
-value), any other column with one C-encoder call split at its commas (the
-text of a number, a bool or null holds none), and one join interleaves the
-columns with the key and indent text in sorted-key order.
+A list (or tuple) anywhere in the payload is a list of flat rows when every
+entry is a dict with str keys, the first entry's keys and only scalars; it
+becomes a `_Rows` when the report is built, whoever built the list (cli, a
+library caller, `from_json`).  Only a column whose floats do not sum to a
+finite value is scanned for NaN and infinities, which become null in a copy
+of that column.  A `_Rows` is written column by column: a column of strings
+is encoded value by value with `encode_basestring_ascii` (a column that
+mixes strings and other scalars, by the C encoder value by value), any
+other column with one C-encoder call split at its commas (the text of a
+number, a bool or null holds none), and one join interleaves the columns
+with the key and indent text in sorted-key order.
 """
 
 from __future__ import annotations
@@ -87,20 +87,39 @@ class _Rows:
         return list(self) == other if isinstance(other, list) else NotImplemented
 
 
+def _as_rows(value):
+    """A list or tuple of flat rows as a `_Rows`: every entry a dict with str
+    keys, the first entry's keys and only scalars.  Any other value is
+    returned as it is.  Row 0's values are checked first, so that rows of
+    numpy scalars are turned down before any column is gathered."""
+    first = value[0] if value else None
+    if first.__class__ is not dict or not _SCALARS.issuperset(map(type, first.values())):
+        return value
+    keys = first.keys()
+    if not keys or not all(row.__class__ is dict and row.keys() == keys for row in value):
+        return value
+    try:
+        return _Rows({key: [row[key] for row in value] for key in keys})
+    except TypeError:  # a non-str key or a value that is not a scalar
+        return value
+
+
 def _jsonable(value):
     """Recursively convert to JSON-encodable content; non-finite floats
     become null (flagged diagnostics rows carry NaN by contract).
 
-    A `_Rows` is copied with its columns shared, but for each column whose
-    floats do not sum to a finite value: that one is copied with null in
-    place of NaN and +-inf.  Every other container is converted value by
-    value."""
+    A list or tuple of flat rows becomes a `_Rows`.  A `_Rows` is copied with
+    its columns shared, but for each column whose floats do not sum to a
+    finite value: that one is copied with null in place of NaN and +-inf.
+    Every other container is converted value by value."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        value = _as_rows(value)
+        if value.__class__ is not _Rows:
+            return [_jsonable(v) for v in value]
     if value.__class__ is _Rows:
         columns, types = list(value.columns), list(value.types)
         for j, (column, kinds) in enumerate(zip(columns, types)):
@@ -165,20 +184,6 @@ def _write(value, depth: int, out: list) -> None:
         out.append(_encode_indented(value).replace("\n", "\n" + _INDENT * depth))
 
 
-def _as_rows(value):
-    """A parsed list of flat rows as a `_Rows`: every entry a dict of scalars
-    with the first entry's keys.  Any other value is returned as parsed."""
-    if not value or value.__class__ is not list or value[0].__class__ is not dict:
-        return value
-    keys = value[0].keys()
-    if not keys or not all(row.__class__ is dict and row.keys() == keys for row in value):
-        return value
-    try:
-        return _Rows({key: [row[key] for row in value] for key in keys})
-    except TypeError:  # a nested value
-        return value
-
-
 @dataclass(frozen=True)
 class AnalysisReport:
     test: str
@@ -198,10 +203,10 @@ class AnalysisReport:
         object.__setattr__(self, "alpha", _jsonable(self.alpha))
         object.__setattr__(self, "results", _jsonable(self.results))
         object.__setattr__(self, "decisions", _jsonable(self.decisions))
-        rows = self.diagnostics
-        if rows is not None:
-            object.__setattr__(
-                self, "diagnostics", _jsonable(rows if rows.__class__ is _Rows else tuple(rows)))
+        rows = self.diagnostics  # any iterable of rows, a generator included
+        if rows is not None and rows.__class__ is not _Rows:
+            rows = tuple(rows)
+        object.__setattr__(self, "diagnostics", _jsonable(rows))
         object.__setattr__(self, "warnings", tuple(str(w) for w in self.warnings))
 
     def to_json(self) -> str:
@@ -213,15 +218,8 @@ class AnalysisReport:
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
-        """Parse to_json output; the diagnostics and results["gap_ranking"]
-        become `_Rows` when they hold flat rows, so that to_json writes them
-        column by column, as it writes a report cli builds.  __post_init__
-        turns command and warnings back into tuples, and a key that is not a
-        field (report.schema.json forbids one) raises TypeError."""
-        payload = json.loads(text)
-        if payload.__class__ is dict:
-            payload["diagnostics"] = _as_rows(payload.get("diagnostics"))
-            results = payload.get("results")
-            if results.__class__ is dict and "gap_ranking" in results:
-                results["gap_ranking"] = _as_rows(results["gap_ranking"])
-        return cls(**payload)
+        """Parse to_json output.  __post_init__ turns command and warnings back
+        into tuples and every list of flat rows back into a `_Rows`, as when
+        cli built the report; a key that is not a field (report.schema.json
+        forbids one) raises TypeError."""
+        return cls(**json.loads(text))

@@ -352,6 +352,25 @@ class TestConfigValidation:
         with pytest.raises(DomainError, match=f"{field} must be an integer"):
             SimConfig(**{**kwargs, field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("effect", True), ("effect", "0.5"), ("effect", None), ("alpha", False),
+        ("alpha", "0.05"), ("alpha", None), ("p0", True), ("p0", "0.5"), ("p0", None),
+    ])
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_rejects_non_real_or_bool_values(self, field, value, scenario):
+        # a bool is an int to isinstance, and a str or None would escape from
+        # a range comparison as a bare TypeError
+        kwargs = dict(replicates=4, seed=1, n=10, scenario=scenario, p1=1, p2=1)
+        with pytest.raises(DomainError, match=f"{field} must be a real number"):
+            SimConfig(**{**kwargs, field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("effect", 1), ("effect", np.float64(0.25)), ("alpha", np.float64(0.1)), ("p0", 0.25),
+    ])
+    def test_accepts_int_and_float_values(self, field, value):
+        cfg = SimConfig(replicates=4, seed=1, n=10, scenario=Scenario.NESTED_F, **{field: value})
+        assert getattr(cfg, field) == value
+
     def test_rejects_impossible_true_proportion(self):
         with pytest.raises(DomainError):
             SimConfig(

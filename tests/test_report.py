@@ -250,38 +250,46 @@ ROW_SCALAR_TYPES = (str, int, bool, float, type(None))
 
 
 def assert_written_like_the_oracle(rows):
-    """rows as the diagnostics and as a list one level deeper in results:
-    the indent encoder's bytes, an exact round trip, and the caller's rows
-    neither changed nor held by the report.  Rows that all hold the same
-    keys are also passed as a `_Rows` built from their columns, which must
-    write the same bytes, round-trip, and leave the caller's column lists
-    unchanged and not held; a table `_Rows` cannot hold (a non-str key, a
-    nested value) raises TypeError."""
+    """rows as the diagnostics (a generator of them), as a list in results
+    and as a list in a dict in results: held as a `_Rows` when they are flat
+    (dicts with one set of str keys and only scalars) and as a list
+    otherwise, the indent encoder's bytes, an exact round trip, and the
+    caller's rows neither changed nor held by the report.  Rows that all
+    hold the same keys are also passed as a `_Rows` built from their
+    columns, which must write the same bytes, round-trip, and leave the
+    caller's column lists unchanged and not held; a table `_Rows` cannot
+    hold (a non-str key, a nested value) raises TypeError."""
+    columns = table_of(rows)
+    flat = columns is not None and all(type(key) is str for key in columns) and all(
+        type(v) in ROW_SCALAR_TYPES for column in columns.values() for v in column)
     before = repr(rows)
-    report = sample_report(results={"rows": rows, "n": len(rows)}, diagnostics=tuple(rows))
+    report = sample_report(results={"rows": rows, "n": len(rows), "deeper": {"rows": rows}},
+                           diagnostics=(row for row in rows))
+    lists = (report.diagnostics, report.results["rows"], report.results["deeper"]["rows"])
+    assert {type(held) for held in lists} == {_Rows if flat else list}
     text = report.to_json()
     assert text == oracle(report)
     assert AnalysisReport.from_json(text) == report
     assert repr(rows) == before
-    held = [*report.diagnostics, *report.results["rows"]]
+    held = [row for rows_held in lists for row in rows_held]
     assert not {id(row) for row in rows if isinstance(row, (dict, list))} & set(map(id, held))
 
-    columns = table_of(rows)
     if columns is None:
         return
-    if not all(isinstance(key, str) for key in columns) or not all(
-            type(v) in ROW_SCALAR_TYPES for column in columns.values() for v in column):
+    if not flat:
         with pytest.raises(TypeError):
             _Rows(columns)
         return
     before = repr(columns)
     table = _Rows(columns)
     assert table == rows and list(table) == rows and len(table) == len(rows)
-    report = sample_report(results={"rows": table, "n": len(rows)}, diagnostics=table)
+    report = sample_report(results={"rows": table, "n": len(rows), "deeper": {"rows": table}},
+                           diagnostics=table)
     assert report.to_json() == text == oracle(report)
     assert AnalysisReport.from_json(text) == report
     assert repr(columns) == before
-    held = {id(column) for held_table in (report.diagnostics, report.results["rows"])
+    held = {id(column) for held_table in (report.diagnostics, report.results["rows"],
+                                          report.results["deeper"]["rows"])
             for column in held_table.columns}
     assert not set(map(id, columns.values())) & held
 
@@ -343,18 +351,41 @@ def test_rows_slice_like_the_list_they_equal():
 
 
 def test_from_json_reads_flat_rows_as_columns_and_leaves_other_lists():
-    flat = [{"a": 1.5, "b": "x", "c": None}, {"a": 2, "b": "y", "c": True}]
-    report = sample_report(results={"gap_ranking": flat, "other": flat}, diagnostics=flat)
+    # a list of flat rows anywhere in results or diagnostics is held as a
+    # _Rows, whoever built it and whatever its container; any other list
+    # stays a list
+    flat = [{"a": 1.5, "b": "x", "c": None}, {"c": True, "b": "y", "a": 2}]
+    report = sample_report(
+        results={"gap_ranking": flat, "other": tuple(flat), "deeper": {"rows": flat},
+                 "in_list": [flat, 1]},
+        diagnostics=(row for row in flat))
     again = AnalysisReport.from_json(report.to_json())
-    assert type(again.diagnostics) is _Rows and type(again.results["gap_ranking"]) is _Rows
-    assert type(again.results["other"]) is list
-    assert again == report and again.to_json() == report.to_json()
+    for made in (report, again):
+        results = made.results
+        for held in (made.diagnostics, results["gap_ranking"], results["other"],
+                     results["deeper"]["rows"], results["in_list"][0]):
+            assert type(held) is _Rows and held == flat
+        assert type(results["in_list"]) is list
+    assert again == report and again.to_json() == report.to_json() == oracle(report)
     for rows in ([{"a": 1}, {"b": 2}], [{"a": 1}, {"a": 2, "b": 3}], [{"a": [1]}, {"a": [2]}],
-                 [{"a": 1}, 2], [{}, {}], [1, 2], []):
-        report = sample_report(results={"gap_ranking": rows}, diagnostics=rows)
+                 [{"a": {"b": 1}}], [{"a": 1}, 2], [2, {"a": 1}], [{}, {}], [1, 2], [[]], []):
+        report = sample_report(results={"gap_ranking": rows, "deeper": {"rows": rows}},
+                               diagnostics=iter(rows))
         again = AnalysisReport.from_json(report.to_json())
-        assert type(again.diagnostics) is list and type(again.results["gap_ranking"]) is list
+        for made in (report, again):
+            for held in (made.diagnostics, made.results["gap_ranking"],
+                         made.results["deeper"]["rows"]):
+                assert type(held) is list
         assert again == report and again.to_json() == report.to_json()
+    # a non-str key or a numpy scalar keeps a list a list; its JSON text is
+    # flat, so it reads back as a _Rows that equals it
+    for rows in ([{1: 1.5}, {1: 2.5}], [{"a": np.float64(1.5)}, {"a": 2.5}],
+                 [{"a": 2.5}, {"a": np.float64(1.5)}]):
+        report = sample_report(results={"rows": rows}, diagnostics=rows)
+        assert type(report.diagnostics) is list and type(report.results["rows"]) is list
+        again = AnalysisReport.from_json(report.to_json())
+        assert type(again.diagnostics) is _Rows and type(again.results["rows"]) is _Rows
+        assert again == report and again.to_json() == report.to_json() == oracle(report)
 
 
 def test_empty_containers_and_lists_of_rows():
