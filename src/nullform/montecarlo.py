@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -340,7 +341,8 @@ class SimConfig:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not math.isfinite(self.effect):
+        # compared, not converted: an int past the float range is refused too
+        if not abs(self.effect) <= sys.float_info.max:
             raise DomainError(f"effect must be finite, got {self.effect!r}")
         if self.scenario is Scenario.ONE_SAMPLE_T:
             if self.n < 2:

@@ -42,6 +42,7 @@ _INDENT = "  "
 # the scalars a canonical container holds; a float only when finite
 _SCALARS = frozenset({str, int, bool, float, type(None)})
 _FLOAT = frozenset({float})
+_NOT_ROWS = "rows need str keys and equally long columns of scalars"
 _is_float = float.__instancecheck__
 _encode_str = json.encoder.encode_basestring_ascii
 # C-encoder `encode` of one scalar, or of a list of scalars with bare commas
@@ -54,21 +55,27 @@ class _Rows:
     """A read-only table of flat rows held as columns: the sorted str keys,
     one tuple of scalars per key and each column's set of value types.
 
-    Built from a mapping (or (key, values) pairs) of equally long columns,
-    which are copied.  Row i, or each row in turn when iterated, is a fresh
-    dict, a slice is a list of fresh row dicts, and the table equals a list of
-    the same row dicts."""
+    Built from a mapping (or an iterable of (key, values) pairs) of equally
+    long columns, which are copied and checked one at a time, so a column
+    that is not all scalars raises before the next pair is drawn.  Row i, or
+    each row in turn when iterated, is a fresh dict, a slice is a list of
+    fresh row dicts, and the table equals a list of the same row dicts."""
 
     __slots__ = ("keys", "columns", "types")
 
     def __init__(self, columns) -> None:
-        columns = dict(columns)
-        self.keys = tuple(sorted(columns))
-        self.columns = tuple(tuple(columns[k]) for k in self.keys)
-        self.types = tuple(frozenset(map(type, column)) for column in self.columns)
-        if (len(set(map(len, self.columns))) != 1 or not all(k.__class__ is str for k in self.keys)
-                or not all(map(_SCALARS.issuperset, self.types))):
-            raise TypeError("rows need str keys and equally long columns of scalars")
+        checked = {}
+        for key, column in columns.items() if hasattr(columns, "items") else columns:
+            column = tuple(column)
+            kinds = frozenset(map(type, column))
+            if key.__class__ is not str or not _SCALARS.issuperset(kinds):
+                raise TypeError(_NOT_ROWS)
+            checked[key] = column, kinds
+        self.keys = tuple(sorted(checked))
+        self.columns = tuple(checked[k][0] for k in self.keys)
+        self.types = tuple(checked[k][1] for k in self.keys)
+        if len(set(map(len, self.columns))) != 1:
+            raise TypeError(_NOT_ROWS)
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -91,7 +98,9 @@ def _as_rows(value):
     """A list or tuple of flat rows as a `_Rows`: every entry a dict with str
     keys, the first entry's keys and only scalars.  Any other value is
     returned as it is.  Row 0's values are checked first, so that rows of
-    numpy scalars are turned down before any column is gathered."""
+    numpy scalars are turned down before any column is gathered, and the
+    columns are gathered one at a time as `_Rows` checks them, so none is
+    gathered past the first that holds a value that is not a scalar."""
     first = value[0] if value else None
     if first.__class__ is not dict or not _SCALARS.issuperset(map(type, first.values())):
         return value
@@ -99,7 +108,7 @@ def _as_rows(value):
     if not keys or not all(row.__class__ is dict and row.keys() == keys for row in value):
         return value
     try:
-        return _Rows({key: [row[key] for row in value] for key in keys})
+        return _Rows((key, [row[key] for row in value]) for key in keys)
     except TypeError:  # a non-str key or a value that is not a scalar
         return value
 

@@ -32,6 +32,10 @@ CLI call one value at a time, where numpy's per-call overhead makes a
 one-element array call over ten times slower than the scalar code.  Tests
 cross-check the two paths.  numpy is imported inside the array functions
 only, so this module imports without it.
+
+A law is checked once, when `DistParams` makes it; the public entries check
+their own points, and the kernels under them (`_reg_inc_beta`,
+`_reg_inc_gamma`, `_beta_at` and the array forms) trust their arguments.
 """
 
 from __future__ import annotations
@@ -137,11 +141,7 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for 0 <= x <= 1, a, b > 0.
-
-    Uses the continued fraction directly for x below the crossover point
-    (a+1)/(a+b+2) and the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) above it.
-    """
+    """Regularized incomplete beta I_x(a, b) for 0 <= x <= 1, a, b > 0."""
     x = float(x)
     a = float(a)
     b = float(b)
@@ -149,6 +149,13 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         raise DomainError(f"shape parameters must be finite and positive, got a={a!r}, b={b!r}")
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"reg_inc_beta requires x in [0, 1], got {x!r}")
+    return _reg_inc_beta(x, a, b)
+
+
+def _reg_inc_beta(x: float, a: float, b: float) -> float:
+    """I_x(a, b) for float x in [0, 1] and shapes a, b > 0: the continued
+    fraction directly for x below the crossover point (a+1)/(a+b+2), and the
+    symmetry I_x(a,b) = 1 - I_{1-x}(b,a) above it."""
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -206,20 +213,13 @@ def _beta_cf_array(a: float, b: float, x):
 
 
 def _reg_inc_beta_array(x, a: float, b: float):
-    """reg_inc_beta at every element of the array x, one (a, b).
+    """_reg_inc_beta at every element of the float64 array x, one (a, b).
 
     log B(a, b) is computed once; each element takes the branch, the
     continued fraction and the arithmetic order the scalar code gives it.
     """
     import numpy as np
 
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
-        raise DomainError(f"shape parameters must be finite and positive, got a={a!r}, b={b!r}")
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all((x >= 0.0) & (x <= 1.0)):
-        raise DomainError("reg_inc_beta requires every x in [0, 1]")
     out = np.where(x == 1.0, 1.0, 0.0)
     inner = (x > 0.0) & (x < 1.0)
     xi = x[inner]
@@ -310,36 +310,39 @@ class DistParams:
     df1 carries the single parameter for StudentT (degrees of freedom) and
     ChiSquare (degrees of freedom); FisherF reads (df1, df2) as numerator and
     denominator degrees of freedom; Beta reads (df1, df2) as shapes (a, b).
-    Parameters a family does not read are ignored, never validated.
+    Each parameter the family reads is made a finite positive float when the
+    law is made, or raises DomainError; one it does not read is never checked.
     """
 
     family: Family
     df1: float
     df2: float = math.nan
 
+    def __post_init__(self) -> None:
+        for name in ("df1", "df2") if self.family in (Family.FISHER_F, Family.BETA) else ("df1",):
+            try:
+                df = float(getattr(self, name))
+            except OverflowError:  # an int past the float range
+                df = math.inf
+            if not 0.0 < df < math.inf:
+                raise DomainError(f"{self.family.value} requires {name} > 0, got {df!r}")
+            object.__setattr__(self, name, df)
+
 
 def student_t(df: float) -> DistParams:
-    return DistParams(Family.STUDENT_T, float(df))
+    return DistParams(Family.STUDENT_T, df)
 
 
 def fisher_f(df1: float, df2: float) -> DistParams:
-    return DistParams(Family.FISHER_F, float(df1), float(df2))
+    return DistParams(Family.FISHER_F, df1, df2)
 
 
 def beta_params(a: float, b: float) -> DistParams:
-    return DistParams(Family.BETA, float(a), float(b))
+    return DistParams(Family.BETA, a, b)
 
 
 def chi_square(df: float) -> DistParams:
-    return DistParams(Family.CHI_SQUARE, float(df))
-
-
-def _check_params(d: DistParams) -> None:
-    if not math.isfinite(d.df1) or d.df1 <= 0.0:
-        raise DomainError(f"{d.family.value} requires df1 > 0, got {d.df1!r}")
-    if d.family in (Family.FISHER_F, Family.BETA):
-        if not math.isfinite(d.df2) or d.df2 <= 0.0:
-            raise DomainError(f"{d.family.value} requires df2 > 0, got {d.df2!r}")
+    return DistParams(Family.CHI_SQUARE, df)
 
 
 def _beta_args(d: DistParams, x):
@@ -361,8 +364,8 @@ def _beta_at(z: float, c: float, a: float, b: float) -> float:
     if z <= 0.0:
         return 0.0
     if z <= c:
-        return reg_inc_beta(z / (z + c), a, b)
-    return 1.0 - reg_inc_beta(c / (z + c), b, a)
+        return _reg_inc_beta(z / (z + c), a, b)
+    return 1.0 - _reg_inc_beta(c / (z + c), b, a)
 
 
 def _beta_at_array(z, c, a: float, b: float):
@@ -386,7 +389,6 @@ def _beta_at_array(z, c, a: float, b: float):
 
 def cdf(d: DistParams, x: float) -> float:
     """CDF of the named family at x, via the incomplete-function reductions."""
-    _check_params(d)
     x = float(x)
     if math.isnan(x):
         raise DomainError("cdf requires a non-NaN evaluation point")
@@ -396,8 +398,8 @@ def cdf(d: DistParams, x: float) -> float:
     if d.family is Family.FISHER_F:
         return _beta_at(*_beta_args(d, x))
     if d.family is Family.BETA:
-        return reg_inc_beta(min(max(x, 0.0), 1.0), d.df1, d.df2)
-    return reg_inc_gamma_lower(0.5 * d.df1, 0.5 * max(x, 0.0))
+        return _reg_inc_beta(min(max(x, 0.0), 1.0), d.df1, d.df2)
+    return _reg_inc_gamma(0.5 * d.df1, 0.5 * max(x, 0.0))[0]
 
 
 def cdf_array(d: DistParams, x):
@@ -408,7 +410,6 @@ def cdf_array(d: DistParams, x):
     """
     import numpy as np
 
-    _check_params(d)
     x = np.asarray(x, dtype=np.float64)
     if np.isnan(x).any():
         raise DomainError("cdf_array requires non-NaN evaluation points")
@@ -428,7 +429,6 @@ def cdf_array(d: DistParams, x):
 
 def pdf(d: DistParams, x: float) -> float:
     """Density of the named family at x (used as the quantile Newton slope)."""
-    _check_params(d)
     x = float(x)
     if math.isnan(x):
         raise DomainError("pdf requires a non-NaN evaluation point")
@@ -478,7 +478,6 @@ def quantile(d: DistParams, q: float) -> float:
 
     Pure and cached; repeated critical-value lookups are free.
     """
-    _check_params(d)
     q = float(q)
     if not (0.0 < q < 1.0) or math.isnan(q):
         raise DomainError(f"quantile requires 0 < q < 1, got {q!r}")

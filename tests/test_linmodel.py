@@ -296,7 +296,30 @@ class TestMapFnullToFtrad:
         sup = (n - p1) / p2
         lo, hi = sorted([u1 * sup, u2 * sup])
         assume(lo < hi < sup)
+        # Strictness is a claim about distinct F_null that the map's rounding
+        # resolves. Where its slope (n - p)/(n - p1) is below 1, neighbouring
+        # doubles can round to one F_trad (n = 41, p1 = 0, p2 = 1 maps 4.1e-08
+        # and its successor to one value); an F_null that is 1e-9 apart,
+        # relatively, maps at least as far apart, far above a few ulps of error.
+        assume(hi - lo > 1e-9 * hi)
         assert map_fnull_to_ftrad(lo, n, p1, p2) < map_fnull_to_ftrad(hi, n, p1, p2)
+
+    @settings(max_examples=300)
+    @given(
+        n=st.integers(min_value=4, max_value=50),
+        p1=st.integers(min_value=0, max_value=5),
+        p2=st.integers(min_value=1, max_value=5),
+        f=st.floats(min_value=0.0, max_value=50.0),
+    )
+    @example(n=41, p1=0, p2=1, f=4.1e-08)
+    def test_non_decreasing_on_adjacent_doubles(self, n, p1, p2, f):
+        # exact: each rounded step of (n - p) f / (n - p1 - p2 f) is monotone
+        # in f, with a numerator that grows and a positive denominator that
+        # shrinks
+        assume(n > p1 + p2)
+        up = math.nextafter(f, math.inf)
+        assume(up < (n - p1) / p2)
+        assert map_fnull_to_ftrad(f, n, p1, p2) <= map_fnull_to_ftrad(up, n, p1, p2)
 
 
 class TestFGeometry:

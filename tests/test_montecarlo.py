@@ -371,6 +371,24 @@ class TestConfigValidation:
         cfg = SimConfig(replicates=4, seed=1, n=10, scenario=Scenario.NESTED_F, **{field: value})
         assert getattr(cfg, field) == value
 
+    @pytest.mark.parametrize("value", [
+        10**400, -(10**400), math.inf, -math.inf, math.nan, np.float64(math.nan),
+    ])
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_rejects_effect_that_is_not_finite(self, value, scenario):
+        # an int past the float range is a DomainError, not the OverflowError
+        # that converting it to a float would raise
+        kwargs = dict(replicates=4, seed=1, n=10, scenario=scenario, p1=1, p2=1)
+        with pytest.raises(DomainError, match="effect must be finite"):
+            SimConfig(**kwargs, effect=value)
+
+    @pytest.mark.parametrize("value", [0, 0.0, 1, 1.0, -0.05, 1.5, 10**400, math.nan, math.inf])
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_rejects_alpha_outside_the_unit_interval(self, value, scenario):
+        kwargs = dict(replicates=4, seed=1, n=10, scenario=scenario, p1=1, p2=1)
+        with pytest.raises(DomainError, match=r"alpha must lie in \(0, 1\)"):
+            SimConfig(**kwargs, alpha=value)
+
     def test_rejects_impossible_true_proportion(self):
         with pytest.raises(DomainError):
             SimConfig(

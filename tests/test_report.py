@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullform import cli
+from nullform import report as report_module
 from nullform.diagnostics import DiagnosticsRow
 from nullform.report import REPORT_VERSION, AnalysisReport, _Rows
 
@@ -348,6 +349,28 @@ def test_rows_slice_like_the_list_they_equal():
     # a slice holds fresh dicts
     table[0:1][0]["a"] = 9
     assert table[0]["a"] == 1
+
+
+def test_rows_stop_at_the_first_column_that_is_not_all_scalars(monkeypatch):
+    # each column is built and checked before the next pair is drawn, so a
+    # list of row dicts is turned down without gathering its later columns
+    drawn = []
+
+    def recorded(pairs):
+        for key, column in pairs:
+            drawn.append(key)
+            yield key, column
+
+    with pytest.raises(TypeError):
+        _Rows(recorded([("a", [1.5, 2.5]), ("b", [1, [2]]), ("c", ["x", "y"])]))
+    assert drawn == ["a", "b"]
+    drawn.clear()
+    monkeypatch.setattr(report_module, "_Rows", lambda pairs: _Rows(recorded(pairs)))
+    rows = [{"a": 1.5, "b": 2, "c": "x"}, {"a": np.float64(2.5), "b": 3, "c": "y"}]
+    assert report_module._as_rows(rows) is rows
+    assert drawn == ["a"]
+    with pytest.raises(TypeError):
+        _Rows({})
 
 
 def test_from_json_reads_flat_rows_as_columns_and_leaves_other_lists():

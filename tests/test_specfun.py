@@ -172,13 +172,14 @@ class TestArrayPath:
             rel = max(1e-13, 2.0 * exponent * 2.0**-52)
             assert g == pytest.approx(want, rel=rel, abs=0.0)
 
-    def test_rejects_bad_args(self):
-        with pytest.raises(DomainError):
-            _reg_inc_beta_array(np.array([0.5, 1.1]), 1.0, 1.0)
-        with pytest.raises(DomainError):
-            _reg_inc_beta_array(np.array([0.5, math.nan]), 1.0, 1.0)
-        with pytest.raises(DomainError):
-            _reg_inc_beta_array(np.array([0.5]), 0.0, 1.0)
+    def test_public_entry_rejects_nan_and_clips_beta_points(self):
+        # the kernel checks nothing: cdf_array refuses NaN and clips Beta
+        # points into [0, 1] before it runs
+        with pytest.raises(DomainError, match="non-NaN"):
+            cdf_array(beta_params(1.0, 1.0), np.array([0.5, math.nan]))
+        got = cdf_array(beta_params(2.0, 3.0), np.array([-0.5, -0.0, 0.25, 1.0, 1.1, math.inf]))
+        want = [0.0, 0.0, reg_inc_beta(0.25, 2.0, 3.0), 1.0, 1.0, 1.0]
+        assert _hex(got) == _hex(want)
 
     @pytest.mark.parametrize("dist", [
         student_t(1.0), student_t(3.0), student_t(0.7), student_t(250.0),
@@ -566,6 +567,53 @@ class TestCdf:
         # single-parameter families never look at df2
         d = DistParams(Family.STUDENT_T, 4.0, -99.0)
         assert cdf(d, 1.3) == cdf(student_t(4.0), 1.3)
+
+
+class TestLawChecks:
+    """A law is checked once, when it is made: each parameter its family
+    reads must be finite and positive."""
+
+    BAD = [0.0, -1.0, math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("make, name", [
+        (student_t, "student_t"),
+        (chi_square, "chi_square"),
+        (lambda v: fisher_f(v, 3.0), "fisher_f"),
+        (lambda v: beta_params(v, 3.0), "beta"),
+        (lambda v: DistParams(Family.STUDENT_T, v), "student_t"),
+    ])
+    def test_df1_refused_when_built(self, make, name, bad):
+        with pytest.raises(DomainError) as err:
+            make(bad)
+        assert str(err.value) == f"{name} requires df1 > 0, got {float(bad)!r}"
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("make, name", [
+        (lambda v: fisher_f(3.0, v), "fisher_f"),
+        (lambda v: beta_params(3.0, v), "beta"),
+        (lambda v: DistParams(Family.FISHER_F, 3.0, v), "fisher_f"),
+        (lambda v: DistParams(Family.BETA, 3.0, v), "beta"),
+    ])
+    def test_df2_refused_when_built(self, make, name, bad):
+        with pytest.raises(DomainError) as err:
+            make(bad)
+        assert str(err.value) == f"{name} requires df2 > 0, got {float(bad)!r}"
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: student_t(10**400), "df1"),
+        (lambda: fisher_f(2, 10**400), "df2"),
+        (lambda: beta_params(-(10**400), 2), "df1"),
+        (lambda: DistParams(Family.STUDENT_T, 10**400), "df1"),
+    ])
+    def test_int_past_the_float_range_is_a_domain_error(self, make, field):
+        with pytest.raises(DomainError, match=field):
+            make()
+
+    def test_read_parameters_become_floats(self):
+        d = DistParams(Family.FISHER_F, 3, 40)
+        assert d.df1.__class__ is float and d.df2.__class__ is float
+        assert d == fisher_f(3.0, 40.0) and hash(d) == hash(fisher_f(3.0, 40.0))
 
 
 class TestPdf:
