@@ -87,9 +87,17 @@ _LANCZOS = (
 )
 
 
+def _float(x: float) -> float:
+    """x as a float, with an int past the float range read as +-inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def log_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
-    x = float(x)
+    x = _float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
     if x < 0.5:
@@ -142,9 +150,9 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b) for 0 <= x <= 1, a, b > 0."""
-    x = float(x)
-    a = float(a)
-    b = float(b)
+    x = _float(x)
+    a = _float(a)
+    b = _float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
         raise DomainError(f"shape parameters must be finite and positive, got a={a!r}, b={b!r}")
     if not (0.0 <= x <= 1.0):
@@ -287,8 +295,8 @@ def reg_inc_gamma_lower(s: float, x: float) -> float:
     Series expansion for x < s + 1, continued fraction for the upper tail
     otherwise.
     """
-    s = float(s)
-    x = float(x)
+    s = _float(s)
+    x = _float(x)
     if not math.isfinite(s) or s <= 0.0:
         raise DomainError(f"reg_inc_gamma_lower requires finite s > 0, got {s!r}")
     if math.isnan(x) or x < 0.0:
@@ -320,10 +328,7 @@ class DistParams:
 
     def __post_init__(self) -> None:
         for name in ("df1", "df2") if self.family in (Family.FISHER_F, Family.BETA) else ("df1",):
-            try:
-                df = float(getattr(self, name))
-            except OverflowError:  # an int past the float range
-                df = math.inf
+            df = _float(getattr(self, name))
             if not 0.0 < df < math.inf:
                 raise DomainError(f"{self.family.value} requires {name} > 0, got {df!r}")
             object.__setattr__(self, name, df)
@@ -389,7 +394,7 @@ def _beta_at_array(z, c, a: float, b: float):
 
 def cdf(d: DistParams, x: float) -> float:
     """CDF of the named family at x, via the incomplete-function reductions."""
-    x = float(x)
+    x = _float(x)
     if math.isnan(x):
         raise DomainError("cdf requires a non-NaN evaluation point")
     if d.family is Family.STUDENT_T:
@@ -429,7 +434,7 @@ def cdf_array(d: DistParams, x):
 
 def pdf(d: DistParams, x: float) -> float:
     """Density of the named family at x (used as the quantile Newton slope)."""
-    x = float(x)
+    x = _float(x)
     if math.isnan(x):
         raise DomainError("pdf requires a non-NaN evaluation point")
     if d.family is Family.STUDENT_T:
@@ -478,7 +483,7 @@ def quantile(d: DistParams, q: float) -> float:
 
     Pure and cached; repeated critical-value lookups are free.
     """
-    q = float(q)
+    q = _float(q)
     if not (0.0 < q < 1.0) or math.isnan(q):
         raise DomainError(f"quantile requires 0 < q < 1, got {q!r}")
 
@@ -536,7 +541,7 @@ def quantile(d: DistParams, q: float) -> float:
 
 def std_normal_cdf(z: float) -> float:
     """Standard normal CDF, through the chi-square(1) reduction."""
-    z = float(z)
+    z = _float(z)
     if math.isnan(z):
         raise DomainError("std_normal_cdf requires a non-NaN argument")
     p, q = _reg_inc_gamma(0.5, 0.5 * z * z)
@@ -545,7 +550,7 @@ def std_normal_cdf(z: float) -> float:
 
 def two_sided_normal_p(z: float) -> float:
     """P(|Z| >= |z|) for a standard normal Z."""
-    z = float(z)
+    z = _float(z)
     if math.isnan(z):
         raise DomainError("two_sided_normal_p requires a non-NaN argument")
     return _reg_inc_gamma(0.5, 0.5 * z * z)[1]
@@ -553,7 +558,7 @@ def two_sided_normal_p(z: float) -> float:
 
 def normal_critical(alpha: float) -> float:
     """Two-sided standard normal critical value z such that P(|Z| >= z) = alpha."""
-    alpha = float(alpha)
+    alpha = _float(alpha)
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"normal_critical requires 0 < alpha < 1, got {alpha!r}")
     return math.sqrt(quantile(chi_square(1.0), 1.0 - alpha))

@@ -5,10 +5,11 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sst
 
@@ -16,12 +17,14 @@ from nullform import montecarlo
 from nullform.errors import DomainError, NumericError
 from nullform.montecarlo import (
     _BLOCK_CELLS,
+    _STREAM_SALT,
     Scenario,
     SimConfig,
-    _cell_keys,
     _domain_key,
-    _fill_normals,
+    _ks_distance,
+    _mix64,
     _nested_statistics,
+    _polar_attempt,
     _polar_scratch,
     _proportion_table,
     _raw,
@@ -33,14 +36,25 @@ from nullform.montecarlo import (
     simulate_size_power,
     uniform_cells,
 )
-from nullform.specfun import beta_params, cdf, normal_critical, quantile, student_t
+from nullform.specfun import (
+    beta_params,
+    cdf,
+    cdf_array,
+    normal_critical,
+    quantile,
+    student_t,
+)
 
 
 # the generator helpers write into buffers their callers own; these give
 # each call fresh ones and leave their inputs as they were
 
 def cell_keys(domain_key, start, count):
-    return _cell_keys(domain_key, start, count, np.empty(count, np.uint64))
+    """Keys of cells [start, start+count), from their indices."""
+    keys = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    keys *= _STREAM_SALT
+    keys += domain_key
+    return _mix64(keys, np.empty(count, np.uint64))
 
 
 def to_unit(raw):
@@ -53,8 +67,17 @@ def uniforms_of(keys):
 
 
 def normals_of(keys):
+    """Normals of all cell keys at once, each rejected cell retried with its
+    next polar attempt until accepted."""
     out = np.empty(keys.size)
-    _fill_normals(out, keys, _polar_scratch(keys.size))
+    scratch = _polar_scratch(keys.size)
+    pending, k = np.arange(keys.size), 0
+    while pending.size:
+        retry = np.empty(pending.size)
+        rejected = _polar_attempt(retry, keys[pending], k, scratch)
+        out[pending] = retry
+        pending = pending[rejected]
+        k += 1
     return out
 
 
@@ -323,6 +346,36 @@ class TestWorkers:
             normal_cells(2, 1, 0, _BLOCK_CELLS + 1)
 
 
+    @pytest.mark.parametrize("workers, blocks", [(2, 5), (5, 5), (2, 16)])
+    def test_memory_is_bounded_per_worker(self, monkeypatch, workers, blocks):
+        # beyond its output, a draw holds a fixed number of block-sized
+        # buffers per worker, however many blocks each worker draws: a pool
+        # that kept every rejected cell would outgrow the bound at 16 blocks
+        # on 2 workers
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: workers)
+        count = blocks * _BLOCK_CELLS
+        normal_cells(3, 1, 0, count)
+        tracemalloc.start()
+        try:
+            normal_cells(3, 1, 0, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * count + workers * 9 * (8 * _BLOCK_CELLS)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pool_smaller_than_a_block_of_rejects(self, monkeypatch, workers):
+        # a block rejects about 14 000 cells; a pool of 1000 fills and runs
+        # its retry rounds many times within each block
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: workers)
+        monkeypatch.setattr(montecarlo, "_POOL_CELLS", 1000)
+        for count in (1, _BLOCK_CELLS, 2 * _BLOCK_CELLS + 3):
+            keys = cell_keys(_domain_key(9, 1), 1234, count)
+            assert normal_cells(9, 1, 1234, count).tobytes() == normals_of(keys).tobytes()
+        assert {cells: _sha(normal_cells(*cells)) for cells in DRAW_SHA256} == {
+            cells: digests[0] for cells, digests in DRAW_SHA256.items()}
+
+
 class TestConfigValidation:
     def test_rejects_zero_replicates(self):
         with pytest.raises(DomainError):
@@ -516,6 +569,47 @@ class TestNullLaw:
             f = cdf(law, float(x))
             ks = max(ks, (i + 1) / m - f, f - i / m)
         assert abs(simulate_size_power(cfg).ks_statistic - ks) <= 1e-15
+
+    @settings(max_examples=30, deadline=None)
+    @given(scenario=st.sampled_from([Scenario.ONE_SAMPLE_T, Scenario.NESTED_F]),
+           replicates=st.integers(min_value=1, max_value=20_000),
+           p1=st.integers(min_value=0, max_value=2), p2=st.integers(min_value=1, max_value=3),
+           df=st.integers(min_value=1, max_value=12),
+           seed=st.integers(min_value=0, max_value=2**64 - 1))
+    @example(Scenario.ONE_SAMPLE_T, 1, 0, 1, 4, 3)
+    @example(Scenario.NESTED_F, 2, 1, 2, 5, 3)
+    @example(Scenario.ONE_SAMPLE_T, 16, 0, 1, 9, 3)
+    @example(Scenario.NESTED_F, 17, 2, 2, 16, 3)
+    @example(Scenario.ONE_SAMPLE_T, 20_000, 0, 1, 9, 3)
+    @example(Scenario.NESTED_F, 19_999, 2, 2, 16, 3)
+    def test_bracketed_ks_is_the_full_scan(self, scenario, replicates, p1, p2, df, seed):
+        # the full scan evaluates the law at every ordered replicate
+        if scenario is Scenario.ONE_SAMPLE_T:
+            p1, p2 = 0, 1
+        cfg = SimConfig(replicates=replicates, seed=seed, n=p1 + p2 + df, scenario=scenario,
+                        p1=p1, p2=p2)
+        _, f_null, _, _ = _nested_statistics(cfg)
+        ordered = np.sort(p2 * f_null / (cfg.n - p1))
+        f = cdf_array(beta_params(0.5 * p2, 0.5 * df), ordered)
+        m = ordered.size
+        i = np.arange(m)
+        full = float(np.max(np.maximum((i + 1) / m - f, f - i / m)))
+        assert simulate_size_power(cfg).ks_statistic.hex() == full.hex()
+
+    def test_ks_gap_strictly_inside_a_segment(self):
+        # F(x) = x, the sample at the midpoints of m equal cells, and
+        # position 20, between the knots 16 and 32, moved up towards
+        # position 21: the largest gap is there and at no knot
+        law = beta_params(1.0, 1.0)
+        m = 64
+        ordered = (np.arange(m) + 0.5) / m
+        ordered[20] = 21.4 / m
+        f = cdf_array(law, ordered)
+        i = np.arange(m)
+        gaps = np.maximum((i + 1) / m - f, f - i / m)
+        assert np.argmax(gaps) == 20
+        assert gaps[[0, 16, 32, 48, 63]].max() < gaps[20]
+        assert _ks_distance(law, ordered).hex() == float(gaps[20]).hex()
 
     def test_no_ks_for_proportion(self):
         cfg = SimConfig(replicates=100, seed=1, n=10, scenario=Scenario.PROPORTION)

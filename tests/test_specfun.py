@@ -779,3 +779,62 @@ class TestNormalHelpers:
             normal_critical(0.0)
         with pytest.raises(DomainError):
             normal_critical(1.0)
+
+
+class TestIntsPastTheFloatRange:
+    """An int past the float range reads as +-inf at every public entry, and
+    the entry's own check decides, as it does at inf: a value or DomainError,
+    never a bare OverflowError."""
+
+    BIG = 10**400
+
+    @pytest.mark.parametrize("law", [student_t(3.0), fisher_f(2.0, 5.0), beta_params(2.0, 3.0),
+                                     chi_square(4.0)], ids=lambda d: d.family.value)
+    def test_cdf(self, law):
+        assert cdf(law, self.BIG) == cdf(law, math.inf) == 1.0
+        assert cdf(law, -self.BIG) == cdf(law, -math.inf) == 0.0
+
+    @pytest.mark.parametrize("law", [student_t(3.0), fisher_f(2.0, 5.0), beta_params(2.0, 3.0),
+                                     chi_square(4.0)], ids=lambda d: d.family.value)
+    def test_pdf(self, law):
+        assert pdf(law, self.BIG) == pdf(law, math.inf) == 0.0
+        assert pdf(law, -self.BIG) == pdf(law, -math.inf) == 0.0
+
+    @pytest.mark.parametrize("q", [BIG, -BIG])
+    def test_quantile(self, q):
+        with pytest.raises(DomainError, match="quantile requires 0 < q < 1"):
+            quantile(student_t(3.0), q)
+
+    @pytest.mark.parametrize("alpha", [BIG, -BIG])
+    def test_normal_critical(self, alpha):
+        with pytest.raises(DomainError, match="normal_critical requires 0 < alpha < 1"):
+            normal_critical(alpha)
+
+    @pytest.mark.parametrize("args, match", [
+        ((0.5, BIG, 1.0), "shape parameters"),
+        ((0.5, 1.0, -BIG), "shape parameters"),
+        ((BIG, 1.0, 1.0), r"x in \[0, 1\]"),
+    ])
+    def test_reg_inc_beta(self, args, match):
+        with pytest.raises(DomainError, match=match):
+            reg_inc_beta(*args)
+
+    def test_reg_inc_gamma_lower(self):
+        with pytest.raises(DomainError, match="finite s > 0"):
+            reg_inc_gamma_lower(self.BIG, 1.0)
+        with pytest.raises(DomainError, match="x >= 0"):
+            reg_inc_gamma_lower(1.0, -self.BIG)
+        assert reg_inc_gamma_lower(1.0, self.BIG) == reg_inc_gamma_lower(1.0, math.inf) == 1.0
+
+    @pytest.mark.parametrize("x", [BIG, -BIG])
+    def test_log_gamma(self, x):
+        with pytest.raises(DomainError, match="log_gamma requires finite x > 0"):
+            log_gamma(x)
+
+    def test_std_normal_cdf(self):
+        assert std_normal_cdf(self.BIG) == std_normal_cdf(math.inf) == 1.0
+        assert std_normal_cdf(-self.BIG) == std_normal_cdf(-math.inf) == 0.0
+
+    def test_two_sided_normal_p(self):
+        assert two_sided_normal_p(self.BIG) == two_sided_normal_p(math.inf) == 0.0
+        assert two_sided_normal_p(-self.BIG) == 0.0
