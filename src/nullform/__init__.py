@@ -29,7 +29,7 @@ _EXPORTS = {
         "RankDeficiencyError",
     ),
     "linmodel": (
-        "DesignMatrix", "FGeometry", "FitResult", "NestedFTestResult", "NestedSpec",
+        "DesignMatrix", "FitResult", "NestedFTestResult", "NestedSpec",
         "f_geometry", "fit", "map_fnull_to_ftrad", "nested_f_test",
     ),
     "montecarlo": (

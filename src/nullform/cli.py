@@ -45,7 +45,7 @@ from .proportion import ProportionData, proportion_test
 from .report import AnalysisReport, _Rows
 from .sample import Sample
 from .specfun import std_normal_cdf
-from .ttest import Geometry, t_test
+from .ttest import _t_triangle, t_test
 
 if TYPE_CHECKING:
     from .linmodel import DesignMatrix
@@ -205,7 +205,7 @@ def _cmd_ttest(args, alpha: float):
     res = t_test(sample, args.mu0)
     results = {"n": sample.n, "column": column, **vars(res)}
     if not res.degenerate:
-        results["theta"] = Geometry.from_result(res).theta
+        results["theta"] = _t_triangle(res).theta
     decisions = {
         "reject_traditional": res.p_value_t <= alpha,
         "reject_null_form": res.p_value_t0 <= alpha,
@@ -251,7 +251,7 @@ def _cmd_ftest(args, alpha: float):
     spec = linmodel.NestedSpec(design, p1=p1)
     y = Sample(dataset.column(args.response))
     res = linmodel.nested_f_test(spec, y)
-    geo = linmodel.FGeometry.from_result(res)
+    geo = linmodel._f_triangle(res)
     n, rp1, p2 = res.dims
     results = {
         "response": args.response, "full_columns": design.labels,

@@ -31,13 +31,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
 from .sample import Sample
 from .specfun import beta_params, cdf, fisher_f, reg_inc_beta
+from .ttest import Geometry
 
 __all__ = [
     "DesignMatrix",
@@ -47,7 +48,6 @@ __all__ = [
     "fit",
     "nested_f_test",
     "map_fnull_to_ftrad",
-    "FGeometry",
     "f_geometry",
 ]
 
@@ -168,20 +168,6 @@ class NestedFTestResult:
     # full model interpolates y exactly (SSE_12 = 0): F_trad is infinite and
     # F_null sits at its supremum (n - p1)/p2
     saturated: bool = False
-
-
-class FGeometry(NamedTuple):
-    theta: float
-    a: float
-    b: float
-    c: float
-
-    @classmethod
-    def from_result(cls, res: NestedFTestResult) -> "FGeometry":
-        """The triangle of a nested test already run (see f_geometry)."""
-        a = math.sqrt(res.sse1)
-        b = math.sqrt(res.ss2given1)
-        return cls(math.acos(min(1.0, b / a)), a, b, math.sqrt(res.sse12))
 
 
 def _qr_with_rank_check(x: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -320,11 +306,14 @@ def map_fnull_to_ftrad(f_null: float, n: int, p1: int, p2: int) -> float:
     return (n - p1 - p2) * f_null / (n - p1 - p2 * f_null)
 
 
-def f_geometry(spec: NestedSpec, y: Sample) -> FGeometry:
-    """Side lengths and angle of the nested sum-of-squares triangle.
+def _f_triangle(res: NestedFTestResult) -> Geometry:
+    """The triangle of a nested test already run (see f_geometry)."""
+    return Geometry.from_sides(math.sqrt(res.sse1), math.sqrt(res.ss2given1),
+                               math.sqrt(res.sse12))
 
-    a = sqrt(SSE_1) is the hypotenuse, b = sqrt(SS_{2|1}) and c = sqrt(SSE_12)
-    the legs; theta = arccos(b/a), so cos^2(theta) carries F_null and
-    cot^2(theta) carries F_trad.
-    """
-    return FGeometry.from_result(nested_f_test(spec, y))
+
+def f_geometry(spec: NestedSpec, y: Sample) -> Geometry:
+    """The nested sum-of-squares triangle: hypotenuse a = sqrt(SSE_1), legs
+    b = sqrt(SS_{2|1}) and c = sqrt(SSE_12), theta = arccos(b/a); so
+    cos^2(theta) carries F_null and cot^2(theta) carries F_trad."""
+    return _f_triangle(nested_f_test(spec, y))

@@ -464,7 +464,7 @@ def _proportion_table(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarra
     hist = np.bincount(_trial_successes(cfg.seed, cfg.replicates, cfg.n,
                                         cfg.p0 + cfg.effect))
     counts = np.flatnonzero(hist)
-    z_null, z_wald = np.array([_z_forms(int(k), cfg.n, cfg.p0) for k in counts]).T
+    z_null, z_wald, _ = np.array([_z_forms(int(k), cfg.n, cfg.p0) for k in counts]).T
     return hist[counts], z_null, z_wald
 
 

@@ -62,14 +62,14 @@ class ProportionTestResult:
     wald_degenerate: bool
 
 
-def _z_forms(successes: int, n: int, p0: float) -> tuple[float, float]:
-    """(z_null, z_wald) of successes out of n; a zero Wald variance (p_hat
-    in {0, 1}, so p_hat != p0) makes z_wald the signed infinity."""
+def _z_forms(successes: int, n: int, p0: float) -> tuple[float, float, float]:
+    """(z_null, z_wald, wald_var) of successes out of n; a zero Wald variance
+    (p_hat in {0, 1}, so p_hat != p0) makes z_wald the signed infinity."""
     p_hat = successes / n
     diff = p_hat - p0
     wald_var = p_hat * (1.0 - p_hat) / n
     z_wald = diff / math.sqrt(wald_var) if wald_var else math.copysign(math.inf, diff)
-    return diff / math.sqrt(p0 * (1.0 - p0) / n), z_wald
+    return diff / math.sqrt(p0 * (1.0 - p0) / n), z_wald, wald_var
 
 
 def proportion_test(
@@ -89,9 +89,8 @@ def proportion_test(
         raise DomainError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
 
     p_hat = data.p_hat
-    z_null, z_wald = _z_forms(data.successes, data.n, p0)
-    se_wald = math.sqrt(p_hat * (1.0 - p_hat) / data.n)
-    half_width = normal_critical(alpha) * se_wald
+    z_null, z_wald, wald_var = _z_forms(data.successes, data.n, p0)
+    half_width = normal_critical(alpha) * math.sqrt(wald_var)
     return ProportionTestResult(
         p_hat=p_hat,
         z_null=z_null,
@@ -101,5 +100,5 @@ def proportion_test(
         ci_lower=p_hat - half_width,
         ci_upper=p_hat + half_width,
         alpha=alpha,
-        wald_degenerate=se_wald == 0.0,
+        wald_degenerate=not wald_var,
     )

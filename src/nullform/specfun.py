@@ -415,7 +415,10 @@ def cdf_array(d: DistParams, x):
     """
     import numpy as np
 
-    x = np.asarray(x, dtype=np.float64)
+    try:
+        x = np.asarray(x, dtype=np.float64)
+    except OverflowError:  # an int past the float range, read as by cdf
+        x = np.vectorize(_float, otypes=[np.float64])(np.asarray(x, dtype=object))
     if np.isnan(x).any():
         raise DomainError("cdf_array requires non-NaN evaluation points")
     if d.family is Family.BETA:

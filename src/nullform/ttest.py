@@ -69,19 +69,17 @@ class LrtRatio(NamedTuple):
 
 
 class Geometry(NamedTuple):
+    """A test's right triangle: hypotenuse a, leg b along the tested direction
+    (signed for t), leg c and theta = arccos(b/a) (see f_geometry for F's)."""
+
     theta: float
-    ssto: float
-    sst: float
-    sse: float
+    a: float
+    b: float
+    c: float
 
     @classmethod
-    def from_result(cls, res: TTestResult) -> "Geometry":
-        """The angle and SS fields of a t-test already run (see geometry)."""
-        if res.degenerate:
-            raise DomainError("geometry is undefined when every value equals mu0")
-        cos_theta = math.sqrt(res.df + 1) * (res.mean - res.mu0) / math.sqrt(res.ssto)
-        cos_theta = max(-1.0, min(1.0, cos_theta))
-        return cls(math.acos(cos_theta), res.ssto, res.sst, res.sse)
+    def from_sides(cls, a: float, b: float, c: float) -> "Geometry":
+        return cls(math.acos(max(-1.0, min(1.0, b / a))), a, b, c)
 
 
 def _sums_of_squares(y: Sample, mu0: float) -> tuple[float, float, float, float]:
@@ -219,10 +217,18 @@ def lrt_ratio(y: Sample, mu0: float) -> LrtRatio:
     return LrtRatio(r_via_t, r_via_t0)
 
 
+def _t_triangle(res: TTestResult) -> Geometry:
+    """The triangle of a t-test already run (see geometry)."""
+    if res.degenerate:
+        raise DomainError("geometry is undefined when every value equals mu0")
+    b = math.sqrt(res.df + 1) * (res.mean - res.mu0)
+    return Geometry.from_sides(math.sqrt(res.ssto), b, math.sqrt(res.sse))
+
+
 def geometry(y: Sample, mu0: float) -> Geometry:
-    """Angle between y - mu0*1 and the all-ones direction, plus the SS fields.
+    """Angle between y - mu0*1 and the all-ones direction, with the sides.
 
     theta is in [0, pi]; values above pi/2 mean the sample mean falls below
-    mu0.  cos^2(theta) = SST/SSTO and T0^2 = n cos^2(theta).
+    mu0.  a^2 = SSTO, b^2 = SST, c^2 = SSE and T0^2 = n cos^2(theta).
     """
-    return Geometry.from_result(t_test(y, mu0))
+    return _t_triangle(t_test(y, mu0))

@@ -458,6 +458,17 @@ def test_dropped_row_warning(capsys, tmp_path):
     payload = run_json(capsys, ["ttest", "--input", str(path), "--mu0", "0"])
     assert payload["warnings"] == ["dropped 1 row(s) with unusable cells"]
     assert payload["results"]["n"] == 3
+    assert run_command(["ttest", "--input", str(path), "--mu0", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "warning: dropped 1 row(s) with unusable cells"
+
+
+def test_outliers_without_intercept_or_predictors_exits_4(capsys, tmp_path):
+    path = tmp_path / "response_only.csv"
+    path.write_text("y\n1\n2\n4\n3\n", encoding="utf-8")
+    assert run_command(["outliers", "--input", str(path), "--response", "y",
+                        "--no-intercept"]) == 4
+    assert "the design needs at least one column" in capsys.readouterr().err
 
 
 REG_ROWS = [("a", 1.1, 0.2), ("b", 1.8, 1.1), ("c", 3.1, 2.0), ("d", 9.0, 2.9),
@@ -746,6 +757,8 @@ print(json.dumps(sorted(set(sys.argv[1].split(",")) & set(sys.modules))))
 
 NUMPY_MODULES = ("numpy", "nullform.diagnostics", "nullform.linmodel",
                  "nullform.montecarlo", "nullform.svgplot")
+# the test extras: no command may need them, as a plain install lacks them
+TEST_MODULES = ("scipy", "hypothesis", "jsonschema", "mpmath", "pytest")
 
 
 @pytest.mark.parametrize("argv, absent", [
@@ -755,9 +768,19 @@ NUMPY_MODULES = ("numpy", "nullform.diagnostics", "nullform.linmodel",
     (("ttest", "--input", "{tiny}", "--mu0", "1"), NUMPY_MODULES),
     (("ftest", "--input", "{reg}", "--response", "y", "--full-cols", "x1", "--json"),
      ("nullform.montecarlo", "nullform.svgplot")),
-], ids=["import", "proptest", "ttest-column", "ttest-first-column", "ftest"])
-def test_cold_path_imports_only_what_it_runs(reg_csv, tiny_csv, argv, absent):
-    argv = [a.format(reg=reg_csv, tiny=tiny_csv) for a in argv]
+    (("ftest", "--input", "{reg}", "--response", "y", "--full-cols", "x1",
+      "--reduced-cols", "", "--intercept"), TEST_MODULES),
+    (("outliers", "--input", "{reg}", "--response", "y", "--predictors", "x1", "--json"),
+     TEST_MODULES),
+    (("simulate", "--scenario", "f", "--replicates", "50", "--n", "8", "--seed", "1",
+      "--json"), TEST_MODULES),
+    (("plot", "--input", "{reg}", "--label-column", "name", "--response", "y",
+      "--out", "{out}"), TEST_MODULES),
+], ids=["import", "proptest", "ttest-column", "ttest-first-column", "ftest",
+        "ftest-extras", "outliers-extras", "simulate-extras", "plot-extras"])
+def test_cold_path_imports_only_what_it_runs(reg_csv, tiny_csv, tmp_path, argv, absent):
+    out = tmp_path / "plot.svg"
+    argv = [a.format(reg=reg_csv, tiny=tiny_csv, out=out) for a in argv]
     assert run_fresh(LOADED_AFTER, ",".join(absent), *argv) == []
 
 

@@ -23,7 +23,7 @@ from nullform.linmodel import (
     nested_f_test,
 )
 from nullform.sample import Sample
-from nullform.ttest import t_test
+from nullform.ttest import geometry, t_test
 
 
 def random_nested_problem(seed, n_min=5, n_max=40, p_max=6):
@@ -151,6 +151,15 @@ class TestDesignMatrixValidation:
         with pytest.raises(DomainError):
             DesignMatrix([[1.0], [math.nan]])
 
+    @pytest.mark.parametrize("data, message", [
+        ([1.0, 2.0, 3.0], r"design matrix must be 2-dimensional, got shape \(3,\)"),
+        (np.empty((0, 2)), r"design matrix must be non-empty, got shape \(0, 2\)"),
+        (np.empty((3, 0)), r"design matrix must be non-empty, got shape \(3, 0\)"),
+    ], ids=["1-d", "no-rows", "no-columns"])
+    def test_rejects_a_shape_that_is_not_a_design(self, data, message):
+        with pytest.raises(DomainError, match=message):
+            DesignMatrix(data)
+
     def test_rejects_wrong_label_count(self):
         with pytest.raises(DomainError):
             DesignMatrix([[1.0, 2.0]], labels=("a",))
@@ -163,6 +172,25 @@ class TestDesignMatrixValidation:
         x = DesignMatrix([[1.0], [2.0]])
         with pytest.raises(ValueError):
             x.data[0, 0] = 5.0
+
+
+class TestNestedSpecValidation:
+    X = DesignMatrix([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+
+    @pytest.mark.parametrize("p1", [True, False, 1.0, 0.0])
+    def test_rejects_a_bool_or_float_p1(self, p1):
+        with pytest.raises(DomainError, match=f"p1 must be an integer, got {p1!r}"):
+            NestedSpec(self.X, p1=p1)
+
+    @pytest.mark.parametrize("p1", [-1, 2, 5])
+    def test_rejects_p1_outside_the_columns(self, p1):
+        with pytest.raises(DomainError, match=f"p1 must satisfy 0 <= p1 < p=2, got {p1}"):
+            NestedSpec(self.X, p1=p1)
+
+    @pytest.mark.parametrize("rows", [[[1.0, 2.0], [1.0, 3.0]], [[1.0, 2.0]]])
+    def test_rejects_as_many_columns_as_rows(self, rows):
+        with pytest.raises(DomainError, match=f"need p < n, got p=2 with n={len(rows)}"):
+            NestedSpec(DesignMatrix(rows), p1=1)
 
 
 class TestNestedFTest:
@@ -330,6 +358,18 @@ class TestFGeometry:
         assert g.b == pytest.approx(math.sqrt(4.5), rel=1e-12)
         assert g.c == pytest.approx(math.sqrt(1.0 / 6.0), rel=1e-12)
         assert math.cos(g.theta) ** 2 == pytest.approx(27.0 / 28.0, rel=1e-10)
+
+    @pytest.mark.parametrize("mu0", [-0.7, 0.0, 0.4, 3.0])
+    def test_t_triangle_is_the_case_x_1_p1_0(self, mu0):
+        # the t-test's triangle on y - mu0 is the nested one with X = 1 and
+        # p1 = 0, up to the sign of the leg b
+        y = np.random.default_rng(5).standard_normal(12) + 0.4
+        t = geometry(Sample.from_iterable(y), mu0)
+        spec = NestedSpec(DesignMatrix(np.ones((12, 1))), p1=0)
+        f = f_geometry(spec, Sample.from_iterable(y - mu0))
+        assert type(f) is type(t)
+        assert (f.a, f.b, f.c) == pytest.approx((t.a, abs(t.b), t.c), rel=1e-12)
+        assert f.theta == pytest.approx(min(t.theta, math.pi - t.theta), rel=1e-10)
 
     def test_right_angle_when_no_reduction(self):
         x = DesignMatrix([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, -1.0]])

@@ -442,6 +442,22 @@ class TestConfigValidation:
         with pytest.raises(DomainError, match=r"alpha must lie in \(0, 1\)"):
             SimConfig(**kwargs, alpha=value)
 
+    @pytest.mark.parametrize("p1, p2", [(-1, 1), (0, 0), (1, -2)])
+    def test_rejects_f_blocks_that_test_nothing(self, p1, p2):
+        with pytest.raises(DomainError,
+                           match=f"need p1 >= 0 and p2 >= 1, got p1={p1}, p2={p2}"):
+            SimConfig(replicates=1, seed=1, n=10, scenario=Scenario.NESTED_F, p1=p1, p2=p2)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_a_proportion_scenario_without_trials(self, n):
+        with pytest.raises(DomainError, match=f"proportion scenario needs n >= 1, got {n}"):
+            SimConfig(replicates=1, seed=1, n=n, scenario=Scenario.PROPORTION)
+
+    @pytest.mark.parametrize("p0", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
+    def test_rejects_p0_outside_the_unit_interval(self, p0):
+        with pytest.raises(DomainError, match=rf"p0 must lie in \(0, 1\), got {p0!r}"):
+            SimConfig(replicates=1, seed=1, n=10, scenario=Scenario.PROPORTION, p0=p0)
+
     def test_rejects_impossible_true_proportion(self):
         with pytest.raises(DomainError):
             SimConfig(

@@ -15,7 +15,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 EXPORTS = {
     "AnalysisReport", "DataError", "Dataset", "DesignMatrix", "DiagnosticsRow",
-    "DiagnosticsTable", "DistParams", "DomainError", "FGeometry", "Family",
+    "DiagnosticsTable", "DistParams", "DomainError", "Family",
     "FitResult", "Geometry", "LrtRatio", "NestedFTestResult", "NestedSpec",
     "NullformError", "NumericError", "ProportionData", "ProportionTestResult",
     "REPORT_VERSION", "RankDeficiencyError", "Sample", "Scenario", "SimConfig",

@@ -76,6 +76,11 @@ class TestValidation:
         with pytest.raises(DomainError):
             ProportionData(3.0, 10)  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("n", [10.0, True, "10", None])
+    def test_rejects_a_non_integer_n(self, n):
+        with pytest.raises(DomainError, match=f"n must be an integer, got {n!r}"):
+            ProportionData(1, n)  # type: ignore[arg-type]
+
 
 class TestProperties:
     @settings(max_examples=200)

@@ -213,6 +213,30 @@ class TestArrayPath:
         with pytest.raises(DomainError):
             cdf_array(fisher_f(2.0, -1.0), np.array([1.0]))
 
+    @pytest.mark.parametrize("dist", [student_t(3.0), fisher_f(2.0, 3.0), beta_params(2.0, 3.0)])
+    def test_cdf_array_reads_ints_past_the_float_range_as_cdf_does(self, dist):
+        # numpy cannot convert 10**400 to a double; cdf reads it as +-inf
+        row = [10**400, -(10**400), 0.5, 2]
+        got = cdf_array(dist, row)
+        assert got.dtype == np.float64
+        assert _hex(got) == _hex([cdf(dist, v) for v in row])
+        grid = cdf_array(dist, [row, row[::-1]])
+        assert grid.shape == (2, 4)
+        assert _hex(grid.ravel()) == _hex([cdf(dist, v) for v in row + row[::-1]])
+        with pytest.raises(DomainError, match="cdf_array requires non-NaN evaluation points"):
+            cdf_array(dist, [10**400, math.nan])
+        with pytest.raises(DomainError, match="cdf_array has no path for chi_square; use cdf"):
+            cdf_array(chi_square(3.0), [10**400, 1.0])
+
+    @pytest.mark.parametrize("run, message", [
+        (lambda z: pdf(student_t(3.0), z), "pdf requires a non-NaN evaluation point"),
+        (std_normal_cdf, "std_normal_cdf requires a non-NaN argument"),
+        (two_sided_normal_p, "two_sided_normal_p requires a non-NaN argument"),
+    ])
+    def test_scalar_entries_refuse_nan(self, run, message):
+        with pytest.raises(DomainError, match=message):
+            run(math.nan)
+
 
 def law_level_cdf(d, x):
     """cdf's t and F branches as they were before the shared reduction, one

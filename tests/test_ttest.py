@@ -15,7 +15,6 @@ from nullform.errors import DomainError
 from nullform.sample import Sample
 from nullform.specfun import beta_params, quantile, student_t
 from nullform.ttest import (
-    Geometry,
     geometry,
     lrt_ratio,
     map_critical_value,
@@ -185,6 +184,11 @@ class TestMaps:
         with pytest.raises(DomainError):
             map_critical_value(-0.5, 9)
 
+    @pytest.mark.parametrize("n", [1, 0, -2])
+    def test_map_needs_two_observations(self, n):
+        with pytest.raises(DomainError, match=f"map_t0_to_t needs n >= 2, got {n}"):
+            map_t0_to_t(0.0, n)
+
     def test_critical_value_through_null_law(self):
         # T0-scale critical value from the Beta law of T0^2/n, then mapped;
         # must land on the Student t quantile of the same level
@@ -211,6 +215,12 @@ class TestMaps:
         assert map_t0_to_t(lo, n) < map_t0_to_t(hi, n)
 
 
+@pytest.mark.parametrize("mu0", [math.inf, -math.inf, math.nan])
+def test_t_test_rejects_a_mu0_that_is_not_finite(mu0):
+    with pytest.raises(DomainError, match=f"mu0 must be finite, got {mu0!r}"):
+        t_test(Sample.from_iterable([1.0, 2.0, 3.0]), mu0)
+
+
 class TestLrtRatio:
     def test_worked_example(self):
         r = lrt_ratio(Sample.from_iterable([1.0, 2.0, 3.0]), 0.0)
@@ -233,7 +243,7 @@ class TestGeometry:
     def test_worked_example(self):
         g = geometry(Sample.from_iterable([1.0, 2.0, 3.0]), 0.0)
         assert math.cos(g.theta) ** 2 == pytest.approx(12.0 / 14.0, rel=1e-12)
-        assert (g.ssto, g.sst, g.sse) == pytest.approx((14.0, 12.0, 2.0), rel=1e-14)
+        assert (g.a**2, g.b**2, g.c**2) == pytest.approx((14.0, 12.0, 2.0), rel=1e-14)
 
     def test_parallel_to_ones(self):
         g = geometry(Sample.from_iterable([3.0, 3.0, 3.0]), 1.0)
@@ -254,9 +264,14 @@ class TestGeometry:
         ([0.1, 0.7, -0.3, 2.9, 1.3], 0.9),
         ([3.0, 3.0, 3.0], 5.0),  # boundary: SSE = 0, theta = pi
     ])
-    def test_from_result_matches_geometry(self, values, mu0):
+    def test_sides_are_the_results_sums_of_squares(self, values, mu0):
         y = Sample.from_iterable(values)
-        assert Geometry.from_result(t_test(y, mu0)) == geometry(y, mu0)
+        res = t_test(y, mu0)
+        g = geometry(y, mu0)
+        assert g.a == math.sqrt(res.ssto) and g.c == math.sqrt(res.sse)
+        assert g.b == math.sqrt(y.n) * (res.mean - mu0)
+        assert g.b**2 == pytest.approx(res.sst, rel=1e-14)
+        assert g.theta == math.acos(max(-1.0, min(1.0, g.b / g.a)))
 
 
 class TestIdentities:
