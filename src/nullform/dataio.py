@@ -78,16 +78,17 @@ def _parse_cell(cell: str) -> float | None:
 def _parse_column(cells: Sequence[str]) -> tuple[list, list[bool] | None]:
     """One column's values and a usable-cell mask, or None when all are usable.
 
-    A clean column costs one float() pass and one fsum screen.  A column that
-    raises (a blank or non-numeric cell, inf + -inf, or finite values whose
-    sum overflows) or sums to a non-finite value is parsed cell by cell, and
-    its unusable cells become None.
+    A clean column costs one float() pass and one plain sum screen: the sum
+    of floats is non-finite whenever a value is NaN or infinite.  A column
+    that raises (a blank or non-numeric cell) or sums to a non-finite value
+    (an unusable cell, or finite values whose sum overflows) is parsed cell
+    by cell, and its unusable cells become None.
     """
     try:
         values = list(map(float, cells))
-        if math.isfinite(math.fsum(values)):
+        if math.isfinite(sum(values)):
             return values, None
-    except (ValueError, OverflowError):
+    except ValueError:
         pass
     values = [_parse_cell(cell) for cell in cells]
     return values, [v is not None for v in values]

@@ -208,15 +208,26 @@ def _qr_and_response(
 
 
 def _nested_sums(
-    q: np.ndarray, p1: int, y: np.ndarray
+    q: np.ndarray, p1: int, y: np.ndarray, out: tuple[np.ndarray, ...] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(SSE_1, SSE_12, SS_{2|1}) of y, shape (n,) or (m, n), from the
-    orthonormal factor q of a full design whose first p1 columns span X1."""
-    coef = y @ q
-    resid = y - coef @ q.T
-    sse12 = np.einsum("...i,...i->...", resid, resid)
-    ss2given1 = np.einsum("...i,...i->...", coef[..., p1:], coef[..., p1:])
-    return sse12 + ss2given1, sse12, ss2given1
+    orthonormal factor q of a full design whose first p1 columns span X1.
+
+    out, if given, is (coef, resid, sse1, sse12, ss2given1): buffers shaped
+    as y @ q, y and y's rows, which receive the intermediates and the sums,
+    so that the call allocates no array.
+    """
+    if out is None:
+        rows = y.shape[:-1]
+        out = (np.empty(rows + q.shape[1:]), np.empty(y.shape),
+               np.empty(rows), np.empty(rows), np.empty(rows))
+    coef, resid, sse1, sse12, ss2given1 = out
+    np.matmul(y, q, out=coef)
+    np.subtract(y, np.matmul(coef, q.T, out=resid), out=resid)
+    np.einsum("...i,...i->...", resid, resid, out=sse12)
+    np.einsum("...i,...i->...", coef[..., p1:], coef[..., p1:], out=ss2given1)
+    np.add(sse12, ss2given1, out=sse1)
+    return sse1, sse12, ss2given1
 
 
 def _f_forms(ss2given1, sse12, sse1, n: int, p1: int, p2: int):

@@ -9,20 +9,26 @@ finalizer, so a draw is a pure function of (seed, domain, cell, counter):
 
 Uniforms map the top 53 bits of raw, offset by half a step, into (0, 1]: the
 top raw word rounds to exactly 1.0, and values at or above 0.5 are unevenly
-spaced, since their half steps tie and round to even.  Gaussian
-variates use the Marsaglia polar method with per-cell rejection: attempt k of
-a cell consumes raw values 2k and 2k+1, so a rejected pair never shifts the
-stream of any other cell.  Results are therefore bit-identical no matter how
+spaced, since their half steps tie and round to even.  Gaussian variates use
+the Marsaglia polar method with per-cell rejection: attempt k of a cell
+consumes raw values 2k and 2k+1, so a rejected pair never shifts the stream
+of any other cell.  Results are therefore bit-identical no matter how
 replicates are partitioned across workers, and two scenarios never share
 draws (they live in different domains).  The generator works through blocks
-of 2^16 cells and mixes each block in place, in buffers allocated once per
-worker of a draw; a block's cell keys are one add to a table of
-(i + 1) * STREAM_SALT, made once per draw.  A normal draw's first polar
-attempt runs over the whole block, each worker moves the cells it rejects to
-a pool of half a block, and the retry rounds run over that pool when it is
-full and once after the worker's last block.  The blocks of a draw are spread over one thread per CPU in the process's affinity mask, at
-most one per block; there is no option, `taskset` limits it, and the results
-are bit-identical for any number of workers.  The proportion scenario counts
+of 2^16 cells and mixes each block in place, in buffers kept between draws
+in one workspace: per worker, a block of cell keys, four blocks of polar
+scratch, a pool of half a block of rejects (keys, positions and values) and
+two pending blocks, 8.5 blocks of 8-byte words (4.25 MiB); and one table of
+(i + 1) * STREAM_SALT, as long as the longest block drawn (at most 0.5 MiB),
+to which a block's cell keys are one add.  One draw uses the workspace at a
+time; a concurrent draw makes its own and drops it, and the kept one is
+remade when `_BLOCK_CELLS` or `_POOL_CELLS` no longer match it.  A normal
+draw's first polar attempt runs over the whole block, each worker moves the
+cells it rejects to its pool, and the retry rounds run over that pool when
+it is full and once after the worker's last block.  The blocks of a draw are
+spread over one thread per CPU in the process's affinity mask, at most one
+per block; there is no option, `taskset` limits it, and the results are
+bit-identical for any number of workers.  The proportion scenario counts
 successes one block of replicates at a time, comparing each raw word with
 the integer threshold below which its uniform falls under p, and tallies its
 rates from the histogram of success counts, with both z forms evaluated by
@@ -33,7 +39,14 @@ trials.
 
 The t scenario is the nested case X = 1 tested against the zero function
 (p1 = 0, p2 = 1): F_trad = T^2 and F_null = T0^2 come from the F scenario's
-sums of squares.  Replicates are drawn once; under the null the KS distance
+sums of squares.  Their noise is one streamed normal draw: each worker holds
+a block of whole replicate rows in a pending block until the retry rounds
+that resolve its rejected cells have run (early, when both pending blocks
+are held), then adds the effect shift and reduces the rows to their three
+sums of squares by `linmodel._nested_sums`, in the workspace's scratch, so
+no replicates x n array is made.  Per-block BLAS products may differ from
+one product over all rows in the last bit, which moves KS distances by
+about 1e-13.  Replicates are drawn once; under the null the KS distance
 of the null form from its Beta law comes from that same draw.  The law is
 evaluated at every 16th ordered replicate and the last, then only inside the
 segments between them where a bound from those knots lets the largest gap
@@ -47,9 +60,10 @@ import math
 import os
 import sys
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -85,15 +99,18 @@ _DOMAIN_TRIALS = 3
 _MAX_POLAR_ATTEMPTS = 64
 
 # cells drawn per block: each block is mixed in buffers of this many cells,
-# allocated once per worker of a draw and reused by every block that worker
-# draws, so one large draw never faults in fresh pages for full-size
-# temporaries
+# kept per worker in the workspace and reused by every block of every draw,
+# so no draw faults in fresh pages for full-size temporaries
 _BLOCK_CELLS = 1 << 16
 
 # cells a worker's pool of polar rejects holds: the cells that attempt 0
 # rejects in each of its blocks (about 21.5%) wait there, and the retry rounds
 # run over the whole pool when it is full and once after the last block
 _POOL_CELLS = _BLOCK_CELLS // 2
+
+# blocks a worker of a streamed normal draw holds while their pooled cells
+# wait for the retry rounds; with none free, the rounds run early
+_PENDING_BLOCKS = 2
 
 # the KS pass's knots are every _KS_STRIDE-th ordered replicate and the last;
 # _KS_SLACK covers any non-monotone rounding of the computed cdf, which agrees
@@ -120,7 +137,8 @@ def _domain_key(seed: int, domain: int) -> np.uint64:
 
 def _key_table(size: int) -> np.ndarray:
     """(i + 1) * STREAM_SALT mod 2**64 for i < size: the cell-key offsets of a
-    block, made once per draw in the calling thread and read by every worker."""
+    block, made once per workspace in the calling thread and read by every
+    worker."""
     table = np.arange(1, size + 1, dtype=np.uint64)
     table *= _STREAM_SALT
     return table
@@ -179,21 +197,88 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _spread(work: Callable[[range, Any], None], starts: range,
-            scratch: Callable[[], Any]) -> None:
+class _WorkerBuffers(NamedTuple):
+    """One worker's buffers for blocks of up to a workspace's block size."""
+
+    keys: np.ndarray  # the block's cell keys
+    polar: tuple[np.ndarray, ...]  # `_polar_scratch`, also free between attempts
+    pool: tuple[np.ndarray, np.ndarray, np.ndarray]  # rejects: keys, positions, values
+    pending: np.ndarray  # `_PENDING_BLOCKS` blocks of a streamed normal draw
+
+
+class _Workspace:
+    """The buffers of each worker that has drawn with it, for blocks of up
+    to `block` cells and pools of `pool` cells, and a `_key_table` as long
+    as the longest block drawn with it.
+
+    It is made, and `buffers` makes any missing worker's buffers, in the
+    calling thread, so every buffer comes from that thread's malloc arena.
+    """
+
+    def __init__(self, block: int, pool: int):
+        self.block, self.pool = block, pool
+        self.table = _key_table(0)
+        self.workers: list[_WorkerBuffers] = []
+
+    def buffers(self, workers: int) -> list[_WorkerBuffers]:
+        while len(self.workers) < workers:
+            cells = min(self.pool, self.block)
+            self.workers.append(_WorkerBuffers(
+                np.empty(self.block, np.uint64), _polar_scratch(self.block),
+                (np.empty(cells, np.uint64), np.empty(cells, np.intp), np.empty(cells)),
+                np.empty(_PENDING_BLOCKS * self.block)))
+        return self.workers[:workers]
+
+    def key_table(self, size: int) -> np.ndarray:
+        """The key table, remade here to size entries if it is shorter."""
+        if self.table.size < size:
+            self.table = _key_table(size)
+        return self.table
+
+
+# the workspace kept between draws, and the lock held by the draw using it
+_kept: _Workspace | None = None
+_kept_lock = threading.Lock()
+
+
+@contextmanager
+def _workspace(block: int = 0) -> Iterator[_Workspace]:
+    """The workspace of one draw whose blocks hold up to max(block,
+    `_BLOCK_CELLS`) cells.
+
+    That is the kept workspace, made anew unless its block and pool sizes are
+    `_BLOCK_CELLS` and `_POOL_CELLS`.  A draw that finds it in use by another
+    thread, or whose blocks are larger, gets a workspace of its own, dropped
+    on return.
+    """
+    global _kept
+    if block > _BLOCK_CELLS or not _kept_lock.acquire(blocking=False):
+        yield _Workspace(max(block, _BLOCK_CELLS), _POOL_CELLS)
+        return
+    try:
+        if _kept is None or (_kept.block, _kept.pool) != (_BLOCK_CELLS, _POOL_CELLS):
+            _kept = None  # free the old buffers before the new ones are made
+            _kept = _Workspace(_BLOCK_CELLS, _POOL_CELLS)
+        yield _kept
+    finally:
+        _kept_lock.release()
+
+
+def _spread(work: Callable[[range, _WorkerBuffers], None], starts: range,
+            workspace: _Workspace) -> None:
     """Run work(share, buffers) over every block start, one worker per CPU.
 
     There are min(CPUs, blocks) workers; worker i takes starts[i::workers]
-    and its own buffers from scratch(), all made here before any thread
-    starts, so every buffer comes from the calling thread's malloc arena.
-    Worker 0 runs in the calling thread, so a one-block draw starts no
-    thread.  Every thread is joined before return, and the first exception
-    any worker raised is then raised here.  work must write only the output
-    slices of its own blocks, and call no public function of this module:
-    the tracer's wrappers around those are not thread-safe.
+    and the workspace's buffers of worker i, any missing ones made here
+    before a thread starts.  Worker 0 runs in the calling thread, so a
+    one-block draw starts no thread.  Every thread is joined before return,
+    and the first exception any worker raised is then raised here.  work
+    must write only its own buffers and the output slices of its own blocks,
+    and call no public function of this module: the tracer's wrappers around
+    those are not thread-safe.
     """
     workers = max(1, min(_cpus(), len(starts)))
-    buffers = [scratch() for _ in range(workers)]
+    buffers = workspace.buffers(workers)
     errors: list[BaseException] = []
 
     def run(i: int) -> None:
@@ -220,58 +305,88 @@ def uniform_cells(seed: int, domain: int, start: int, count: int) -> np.ndarray:
     """count uniforms on (0, 1], one per cell, for cells [start, start+count)."""
     out = np.empty(count)
     domain_key = _domain_key(seed, domain)
-    size = min(count, _BLOCK_CELLS)
-    table = _key_table(size)
 
-    def work(share: range, scratch: tuple[np.ndarray, np.ndarray]) -> None:
-        words, tmp = scratch
-        for lo in share:
-            block = out[lo:lo + _BLOCK_CELLS]
-            keys = _cell_keys(domain_key, start + lo, table[:block.size], words, tmp)
-            _to_unit(_raw(keys, 0, keys, tmp), block)
+    with _workspace() as workspace:
+        table = workspace.key_table(min(count, _BLOCK_CELLS))
 
-    _spread(work, range(0, count, _BLOCK_CELLS),
-            lambda: (np.empty(size, np.uint64), np.empty(size, np.uint64)))
+        def work(share: range, buffers: _WorkerBuffers) -> None:
+            tmp = buffers.polar[1]
+            for lo in share:
+                block = out[lo:lo + _BLOCK_CELLS]
+                keys = _cell_keys(domain_key, start + lo, table[:block.size], buffers.keys, tmp)
+                _to_unit(_raw(keys, 0, keys, tmp), block)
+
+        _spread(work, range(0, count, _BLOCK_CELLS), workspace)
     return out
 
 
-def normal_cells(seed: int, domain: int, start: int, count: int) -> np.ndarray:
+def normal_cells(seed: int, domain: int, start: int, count: int,
+                 reduce: _NestedSums | None = None) -> np.ndarray | None:
     """count standard normals, one per cell, for cells [start, start+count).
 
     Each worker runs attempt 0 of the polar method over each of its blocks
     and moves the cells it rejects to the worker's pool, whose retry rounds
     run when it is full and once after the worker's last block.
+
+    Given reduce, the draw is streamed and returns None.  Its blocks are
+    reduce.cells long, and a worker writes each one to a free one of its
+    `_PENDING_BLOCKS` pending blocks, running the retry rounds first when
+    none is free.  Once the rounds that resolve a block's pooled cells have
+    run, the worker calls reduce(lo, values, scratch), with values the
+    normals of cells [start + lo, start + lo + values.size) and scratch its
+    polar scratch, free until its next attempt.
     """
-    out = np.empty(count)
     domain_key = _domain_key(seed, domain)
-    size = min(count, _BLOCK_CELLS)
-    table = _key_table(size)
+    cells = _BLOCK_CELLS if reduce is None else reduce.cells
+    out = np.empty(count) if reduce is None else None
 
-    def work(share: range, scratch: tuple[Any, ...]) -> None:
-        words, attempt, pool = scratch
-        pool_keys, pool_at = pool[0], pool[1]
-        pooled = 0
-        for lo in share:
-            block = out[lo:lo + _BLOCK_CELLS]
-            keys = _cell_keys(domain_key, start + lo, table[:block.size], words, attempt[1])
-            rejected = _polar_attempt(block, keys, 0, attempt)
-            while rejected.size:
-                cells = rejected[:pool_keys.size - pooled]
-                rejected = rejected[cells.size:]
-                pool_keys[pooled:pooled + cells.size] = keys[cells]
-                np.add(cells, lo, out=pool_at[pooled:pooled + cells.size])
-                pooled += cells.size
-                if pooled == pool_keys.size:
-                    _polar_retries(out, pool, pooled, attempt)
-                    pooled = 0
-        _polar_retries(out, pool, pooled, attempt)
+    with _workspace(cells) as workspace:
+        table = workspace.key_table(min(count, cells))
+        slots = range(0, _PENDING_BLOCKS * cells, cells)
 
-    def scratch() -> tuple[Any, ...]:
-        cells = min(_POOL_CELLS, size)
-        pool = (np.empty(cells, np.uint64), np.empty(cells, np.intp), np.empty(cells))
-        return np.empty(size, np.uint64), _polar_scratch(size), pool
+        def work(share: range, buffers: _WorkerBuffers) -> None:
+            polar, pool = buffers.polar, buffers.pool
+            pool_keys, pool_at = pool[0], pool[1]
+            dest = out if reduce is None else buffers.pending
+            # (lo, offset in dest, size) of the streamed blocks whose pooled
+            # cells wait for the next retry rounds
+            held: list[tuple[int, int, int]] = []
+            pooled = 0
 
-    _spread(work, range(0, count, _BLOCK_CELLS), scratch)
+            def drain() -> None:
+                nonlocal pooled
+                _polar_retries(dest, pool, pooled, polar)
+                pooled = 0
+                for lo, at, size in held:
+                    reduce(lo, dest[at:at + size], polar)
+                held.clear()
+
+            for lo in share:
+                if reduce is None:
+                    at = lo
+                else:
+                    if len(held) == _PENDING_BLOCKS:
+                        drain()
+                    at = next(a for a in slots if all(a != h[1] for h in held))
+                block = dest[at:at + min(cells, count - lo)]
+                keys = _cell_keys(domain_key, start + lo, table[:block.size], buffers.keys,
+                                  polar[1])
+                rejected = _polar_attempt(block, keys, 0, polar)
+                while rejected.size:
+                    moved = rejected[:pool_keys.size - pooled]
+                    rejected = rejected[moved.size:]
+                    # every index is in range; "clip" writes straight to out
+                    np.take(keys, moved, out=pool_keys[pooled:pooled + moved.size], mode="clip")
+                    np.add(moved, at, out=pool_at[pooled:pooled + moved.size])
+                    pooled += moved.size
+                    if pooled == pool_keys.size:
+                        # finishes the held blocks; this one is held below
+                        drain()
+                if reduce is not None:
+                    held.append((lo, at, block.size))
+            drain()
+
+        _spread(work, range(0, count, cells), workspace)
     return out
 
 
@@ -301,7 +416,10 @@ def _polar_attempt(out: np.ndarray, keys: np.ndarray, k: int,
         factor *= -2.0
         factor /= s
         v1 *= np.sqrt(factor, out=factor)
-    return np.flatnonzero((s >= 1.0) | (s == 0.0))
+    # the masks live in the spent words, 8 flags to a word
+    outside, empty = words.view(np.bool_)[:s.size], tmp.view(np.bool_)[:s.size]
+    np.greater_equal(s, 1.0, out=outside)
+    return np.flatnonzero(np.logical_or(outside, np.equal(s, 0.0, out=empty), out=outside))
 
 
 def _polar_retries(out: np.ndarray, pool: tuple[np.ndarray, ...], count: int,
@@ -326,6 +444,29 @@ def _polar_retries(out: np.ndarray, pool: tuple[np.ndarray, ...], count: int,
         k += 1
 
 
+class _NestedSums:
+    """Per-replicate (SSE_1, SSE_12, SS_{2|1}) of noise rows of n cells plus
+    a fixed shift, reduced by `linmodel._nested_sums` one block of whole rows
+    at a time as a streamed `normal_cells` draw hands the blocks over."""
+
+    def __init__(self, q: np.ndarray, p1: int, shift: np.ndarray, replicates: int):
+        self.q, self.p1, self.shift = q, p1, shift
+        n = q.shape[0]
+        self.cells = max(1, _BLOCK_CELLS // n) * n
+        self.sums = np.empty((3, replicates))
+
+    def __call__(self, lo: int, values: np.ndarray, scratch: tuple[np.ndarray, ...]) -> None:
+        n, p = self.q.shape
+        y = values.reshape(-1, n)
+        y += self.shift
+        rows, first = y.shape[0], lo // n
+        # coef and resid in the polar attempt's float scratch, so no block
+        # allocates
+        coef = scratch[2][:rows * p].reshape(rows, p)
+        resid = scratch[3][:rows * n].reshape(rows, n)
+        _nested_sums(self.q, self.p1, y, (coef, resid, *self.sums[:, first:first + rows]))
+
+
 def _trial_successes(seed: int, replicates: int, n: int, p: float) -> np.ndarray:
     """Bernoulli(p) successes in each of replicates rows of n trials: the
     count of the row's trial-domain uniforms below p, read from their raw
@@ -335,26 +476,29 @@ def _trial_successes(seed: int, replicates: int, n: int, p: float) -> np.ndarray
     # whole rows per block; a row of more than a block is counted in parts
     rows = max(1, _BLOCK_CELLS // n)
     width = min(n, _BLOCK_CELLS)
-    size = min(rows, replicates) * width
-    table = _key_table(size)
     ones = np.ones(width, np.float32)
-    successes = np.zeros(replicates)
+    successes = np.zeros(replicates, np.int64)
 
-    def work(share: range, scratch: tuple[np.ndarray, ...]) -> None:
-        words, tmp, below = scratch
-        for lo in share:
-            m = min(rows, replicates - lo)
-            for col in range(0, n, width):
-                w = min(width, n - col)
-                keys = _cell_keys(domain_key, lo * n + col, table[:m * w], words, tmp)
-                hits = np.less(_raw(keys, 0, keys, tmp), threshold, out=below[:m * w])
-                # sums of at most a block of zeros and ones are exact in float32
-                successes[lo:lo + m] += hits.reshape(m, w) @ ones[:w]
+    with _workspace() as workspace:
+        table = workspace.key_table(min(rows, replicates) * width)
 
-    _spread(work, range(0, replicates, rows),
-            lambda: (np.empty(size, np.uint64), np.empty(size, np.uint64),
-                     np.empty(size, np.float32)))
-    return successes.astype(np.int64)
+        def work(share: range, buffers: _WorkerBuffers) -> None:
+            tmp = buffers.polar[1]
+            # the hits go to the polar attempt's float scratch, read as float32
+            below = buffers.polar[2].view(np.float32)
+            for lo in share:
+                m = min(rows, replicates - lo)
+                for col in range(0, n, width):
+                    w = min(width, n - col)
+                    keys = _cell_keys(domain_key, lo * n + col, table[:m * w], buffers.keys, tmp)
+                    hits = np.less(_raw(keys, 0, keys, tmp), threshold, out=below[:m * w])
+                    # sums of at most a block of zeros and ones are exact in
+                    # float32, and so added to the counts
+                    counts = successes[lo:lo + m]
+                    np.add(counts, hits.reshape(m, w) @ ones[:w], out=counts, casting="unsafe")
+
+        _spread(work, range(0, replicates, rows), workspace)
+    return successes
 
 
 class Scenario(Enum):
@@ -450,9 +594,10 @@ def _nested_statistics(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, int, int
         if p1 >= 1:
             x[:, 0] = 1.0
     q, _ = np.linalg.qr(x)
-    y = normal_cells(cfg.seed, _DOMAIN_NOISE, 0, cfg.replicates * n).reshape(-1, n)
-    y += x[:, p1:] @ (cfg.effect * np.full(p2, 1.0 / math.sqrt(p2)))
-    sse1, sse12, ss2given1 = _nested_sums(q, p1, y)
+    shift = x[:, p1:] @ (cfg.effect * np.full(p2, 1.0 / math.sqrt(p2)))
+    sums = _NestedSums(q, p1, shift, cfg.replicates)
+    normal_cells(cfg.seed, _DOMAIN_NOISE, 0, cfg.replicates * n, sums)
+    sse1, sse12, ss2given1 = sums.sums
     with np.errstate(divide="ignore", invalid="ignore"):
         return (*_f_forms(ss2given1, sse12, sse1, n, p1, p2), p1, p2)
 

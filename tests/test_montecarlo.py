@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sst
 
-from nullform import montecarlo
+from nullform import linmodel, montecarlo
 from nullform.errors import DomainError, NumericError
 from nullform.montecarlo import (
     _BLOCK_CELLS,
@@ -374,6 +374,134 @@ class TestWorkers:
             assert normal_cells(9, 1, 1234, count).tobytes() == normals_of(keys).tobytes()
         assert {cells: _sha(normal_cells(*cells)) for cells in DRAW_SHA256} == {
             cells: digests[0] for cells, digests in DRAW_SHA256.items()}
+
+    @pytest.mark.parametrize("workers, blocks", [(2, 5), (5, 5), (2, 16)])
+    def test_kept_workspace_holds_nine_blocks_per_worker(self, monkeypatch, workers, blocks):
+        # the buffers that test_memory_is_bounded_per_worker no longer sees in
+        # its measured draw: keys, polar scratch, pool and pending blocks per
+        # worker, and one key table
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: workers)
+        monkeypatch.setattr(montecarlo, "_kept", None)
+        normal_cells(3, 1, 0, blocks * _BLOCK_CELLS)
+        simulate_size_power(SimConfig(replicates=blocks * _BLOCK_CELLS // 16, seed=3, n=16,
+                                      scenario=Scenario.NESTED_F, p1=1, p2=2))
+        workspace = montecarlo._kept
+        assert len(workspace.workers) == workers
+        arrays = [workspace.table, *(array for buffers in workspace.workers
+                                     for array in (buffers.keys, *buffers.polar,
+                                                   *buffers.pool, buffers.pending))]
+        assert sum(array.nbytes for array in arrays) <= workers * 9 * (8 * _BLOCK_CELLS)
+
+    def test_second_draw_allocates_only_its_output(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+        count = 5 * _BLOCK_CELLS
+        normal_cells(3, 1, 0, count)
+        tracemalloc.start()
+        try:
+            normal_cells(3, 1, 0, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * count + 8 * _BLOCK_CELLS
+
+    def test_streamed_simulation_holds_no_replicate_rows(self, monkeypatch):
+        # the noise of 200 000 replicates of 50 cells is 80 MB
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+        cfg = SimConfig(replicates=200_000, seed=4, n=50, scenario=Scenario.NESTED_F, p1=2, p2=2)
+        tracemalloc.start()
+        try:
+            simulate_size_power(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.4 * cfg.replicates * cfg.n * 8
+
+    @pytest.mark.parametrize("n", [16, _BLOCK_CELLS + 7])
+    def test_streamed_sums_match_one_call(self, monkeypatch, n):
+        # blocks of whole rows, and rows longer than a block, one a block;
+        # per-block BLAS products may differ from one call in the last bit
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+        kept = montecarlo._kept
+        replicates = 3 if n > _BLOCK_CELLS else 2 * _BLOCK_CELLS // n + 5
+        cfg = SimConfig(replicates=replicates, seed=5, n=n, scenario=Scenario.NESTED_F,
+                        effect=0.5, p1=1, p2=2)
+        x = normal_cells(5, 2, 0, n * 3).reshape(n, 3)
+        x[:, 0] = 1.0
+        q, _ = np.linalg.qr(x)
+        y = normals_of(cell_keys(_domain_key(5, 1), 0, replicates * n)).reshape(-1, n)
+        y += x[:, 1:] @ np.full(2, 0.5 / math.sqrt(2))
+        sse1, sse12, ss2 = linmodel._nested_sums(q, 1, y)
+        f_trad, f_null, _, _ = _nested_statistics(cfg)
+        np.testing.assert_allclose(f_trad, (ss2 / 2) / (sse12 / (n - 3)), rtol=1e-12)
+        np.testing.assert_allclose(f_null, (ss2 / 2) / (sse1 / (n - 1)), rtol=1e-12)
+        # rows longer than a block get a workspace of their own
+        if kept is not None:
+            assert montecarlo._kept is kept
+
+    def test_streamed_sums_do_not_depend_on_the_pool(self, monkeypatch):
+        # a pool of 1000 fills many times per block, and its early retry
+        # rounds finish the held blocks; the blocks and their sums are the same
+        cfg = SimConfig(replicates=3 * _BLOCK_CELLS // 16 + 5, seed=6, n=16,
+                        scenario=Scenario.NESTED_F, p1=1, p2=2)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+        whole = _nested_statistics(cfg)
+        monkeypatch.setattr(montecarlo, "_POOL_CELLS", 1000)
+        for workers in (1, 2):
+            monkeypatch.setattr(montecarlo, "_cpus", lambda: workers)
+            parts = _nested_statistics(cfg)
+            assert all(np.array_equal(a, b) for a, b in zip(parts[:2], whole[:2]))
+
+    @pytest.mark.parametrize("patch, value", [("_BLOCK_CELLS", 4096), ("_POOL_CELLS", 1000)])
+    def test_workspace_made_under_a_patch_is_not_reused(self, monkeypatch, patch, value):
+        count = 2 * _BLOCK_CELLS + 3
+        keys = cell_keys(_domain_key(9, 1), 1234, count)
+        with monkeypatch.context() as patched:
+            patched.setattr(montecarlo, patch, value)
+            assert normal_cells(9, 1, 1234, count).tobytes() == normals_of(keys).tobytes()
+            made = montecarlo._kept
+            assert getattr(made, "block" if patch == "_BLOCK_CELLS" else "pool") == value
+        assert normal_cells(9, 1, 1234, count).tobytes() == normals_of(keys).tobytes()
+        assert montecarlo._kept is not made
+        assert (montecarlo._kept.block, montecarlo._kept.pool) == (_BLOCK_CELLS,
+                                                                   montecarlo._POOL_CELLS)
+
+    def test_draw_that_finds_the_workspace_in_use_makes_its_own(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+        count = 2 * _BLOCK_CELLS + 3
+        normal_cells(9, 1, 0, 1)
+        kept, workers = montecarlo._kept, len(montecarlo._kept.workers)
+        with montecarlo._kept_lock:
+            draw = normal_cells(9, 1, 0, count)
+        assert draw.tobytes() == normals_of(cell_keys(_domain_key(9, 1), 0, count)).tobytes()
+        assert montecarlo._kept is kept and len(kept.workers) == workers
+
+    @pytest.mark.parametrize("first, second", [
+        (Scenario.ONE_SAMPLE_T, Scenario.NESTED_F),
+        (Scenario.NESTED_F, Scenario.PROPORTION),
+        (Scenario.PROPORTION, Scenario.ONE_SAMPLE_T),
+    ])
+    def test_concurrent_draws_match_sequential_ones(self, monkeypatch, fast_switching,
+                                                    first, second):
+        # one thread draws in the kept workspace, the other in its own; with
+        # three workers each, the draws run more threads than a CI runner has
+        # cores
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 3)
+        configs = [SimConfig(replicates=9000, seed=seed, n=16, scenario=scenario, p1=1, p2=2)
+                   for seed, scenario in ((7, first), (8, second))]
+        expected = [simulate_size_power(cfg) for cfg in configs]
+        results: list[list] = [[], []]
+
+        def run(i: int) -> None:
+            for _ in range(4):
+                results[i].append(simulate_size_power(configs[i]))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert results == [[expected[0]] * 4, [expected[1]] * 4]
 
 
 class TestConfigValidation:
