@@ -16,42 +16,43 @@ of any other cell.  Results are therefore bit-identical no matter how
 replicates are partitioned across workers, and two scenarios never share
 draws (they live in different domains).  The generator works through blocks
 of 2^16 cells and mixes each block in place, in buffers kept between draws
-in one workspace: per worker, a block of cell keys, four blocks of polar
-scratch, a pool of half a block of rejects (keys, positions and values) and
-two pending blocks, 8.5 blocks of 8-byte words (4.25 MiB); and one table of
-(i + 1) * STREAM_SALT, as long as the longest block drawn (at most 0.5 MiB),
-to which a block's cell keys are one add.  One draw uses the workspace at a
-time; a concurrent draw makes its own and drops it, and the kept one is
-remade when `_BLOCK_CELLS` or `_POOL_CELLS` no longer match it.  A normal
-draw's first polar attempt runs over the whole block, each worker moves the
-cells it rejects to its pool, and the retry rounds run over that pool when
-it is full and once after the worker's last block.  The blocks of a draw are
-spread over one thread per CPU in the process's affinity mask, at most one
-per block; there is no option, `taskset` limits it, and the results are
-bit-identical for any number of workers.  The proportion scenario counts
-successes one block of replicates at a time, comparing each raw word with
-the integer threshold below which its uniform falls under p, and tallies its
-rates from the histogram of success counts, with both z forms evaluated by
-`proportion._z_forms` once per count that occurs.
+in one workspace: for each of up to four workers, a block of cell keys, four
+blocks of polar scratch, a pool of half a block of rejects (keys, positions
+and values) and, once a normal draw has used them, two pending blocks, 8.5
+blocks of 8-byte words (4.25 MiB); and one table of (i + 1) * STREAM_SALT,
+as long as the longest block drawn (at most 0.5 MiB), to which a block's
+cell keys are one add.  So it holds at most 17.5 MiB for any CPU count.  One
+draw uses the workspace at a time; a concurrent draw makes its own and drops
+it, and a draw on more than four CPUs does so for the workers past the
+fourth.  A normal draw's first polar attempt runs over a whole block,
+written to a pending block; each worker moves the cells it rejects to its
+pool, and the retry rounds run over that pool when it is full, when no
+pending block is free, and once after the worker's last block, which makes
+the pending blocks final: they are then copied out or reduced.  The blocks
+of a draw are spread over one thread per CPU in the process's affinity mask,
+at most one per block; there is no option, `taskset` limits it, and the
+results are bit-identical for any number of workers.  The proportion
+scenario counts successes one block of replicates at a time, comparing each
+raw word with the integer threshold below which its uniform falls under p,
+and tallies its rates from the histogram of success counts, with both z
+forms evaluated by `proportion._z_forms` once per count that occurs.
 
 Scenario domains: 1 = response noise, 2 = design entries, 3 = Bernoulli
 trials.
 
 The t scenario is the nested case X = 1 tested against the zero function
 (p1 = 0, p2 = 1): F_trad = T^2 and F_null = T0^2 come from the F scenario's
-sums of squares.  Their noise is one streamed normal draw: each worker holds
-a block of whole replicate rows in a pending block until the retry rounds
-that resolve its rejected cells have run (early, when both pending blocks
-are held), then adds the effect shift and reduces the rows to their three
-sums of squares by `linmodel._nested_sums`, in the workspace's scratch, so
-no replicates x n array is made.  Per-block BLAS products may differ from
-one product over all rows in the last bit, which moves KS distances by
-about 1e-13.  Replicates are drawn once; under the null the KS distance
-of the null form from its Beta law comes from that same draw.  The law is
-evaluated at every 16th ordered replicate and the last, then only inside the
-segments between them where a bound from those knots lets the largest gap
-lie (about 1 700 of 20 000 points), and the distance is the full scan's, bit
-for bit.
+sums of squares.  Their noise is one streamed normal draw in blocks of whole
+replicate rows: once a block is final, its worker adds the effect shift and
+reduces the rows to their three sums of squares by `linmodel._nested_sums`,
+in the workspace's scratch, so no replicates x n array is made.  Per-block
+BLAS products may differ from one product over all rows in the last bit,
+which moves KS distances by about 1e-13.  Replicates are drawn once; under
+the null the KS distance of the null form from its Beta law comes from that
+same draw.  The law is evaluated at every 16th ordered replicate and the
+last, then only inside the segments between them where a bound from those
+knots lets the largest gap lie (about 1 700 of 20 000 points), and the
+distance is the full scan's, bit for bit.
 """
 
 from __future__ import annotations
@@ -108,9 +109,13 @@ _BLOCK_CELLS = 1 << 16
 # run over the whole pool when it is full and once after the last block
 _POOL_CELLS = _BLOCK_CELLS // 2
 
-# blocks a worker of a streamed normal draw holds while their pooled cells
-# wait for the retry rounds; with none free, the rounds run early
+# blocks a worker of a normal draw holds while their pooled cells wait for
+# the retry rounds; with none free, the rounds run early
 _PENDING_BLOCKS = 2
+
+# workers whose buffers the kept workspace holds between draws, 8.5 blocks
+# (4.25 MiB) each; a draw on more CPUs makes the others' buffers and drops them
+_KEPT_WORKERS = 4
 
 # the KS pass's knots are every _KS_STRIDE-th ordered replicate and the last;
 # _KS_SLACK covers any non-monotone rounding of the computed cdf, which agrees
@@ -197,37 +202,46 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _WorkerBuffers(NamedTuple):
-    """One worker's buffers for blocks of up to a workspace's block size."""
+class _WorkerBuffers:
+    """One worker's buffers for blocks of up to `block` cells."""
 
-    keys: np.ndarray  # the block's cell keys
-    polar: tuple[np.ndarray, ...]  # `_polar_scratch`, also free between attempts
-    pool: tuple[np.ndarray, np.ndarray, np.ndarray]  # rejects: keys, positions, values
-    pending: np.ndarray  # `_PENDING_BLOCKS` blocks of a streamed normal draw
+    def __init__(self, block: int):
+        cells = min(_POOL_CELLS, block)
+        self.keys = np.empty(block, np.uint64)  # the block's cell keys
+        # `_polar_scratch`, also free between attempts
+        self.polar = _polar_scratch(block)
+        # the pool of polar rejects: keys, positions and values
+        self.pool = (np.empty(cells, np.uint64), np.empty(cells, np.intp), np.empty(cells))
+        # `_PENDING_BLOCKS` blocks of a normal draw, made by the first one
+        self.pending: np.ndarray | None = None
 
 
 class _Workspace:
-    """The buffers of each worker that has drawn with it, for blocks of up
-    to `block` cells and pools of `pool` cells, and a `_key_table` as long
-    as the longest block drawn with it.
+    """The buffers of up to `_KEPT_WORKERS` workers that have drawn with it,
+    for blocks of up to `block` cells, and a `_key_table` as long as the
+    longest block drawn with it.
 
-    It is made, and `buffers` makes any missing worker's buffers, in the
+    It is made, and `buffers` makes any other buffers a draw needs, in the
     calling thread, so every buffer comes from that thread's malloc arena.
     """
 
-    def __init__(self, block: int, pool: int):
-        self.block, self.pool = block, pool
+    def __init__(self, block: int):
+        self.block = block
         self.table = _key_table(0)
         self.workers: list[_WorkerBuffers] = []
 
-    def buffers(self, workers: int) -> list[_WorkerBuffers]:
-        while len(self.workers) < workers:
-            cells = min(self.pool, self.block)
-            self.workers.append(_WorkerBuffers(
-                np.empty(self.block, np.uint64), _polar_scratch(self.block),
-                (np.empty(cells, np.uint64), np.empty(cells, np.intp), np.empty(cells)),
-                np.empty(_PENDING_BLOCKS * self.block)))
-        return self.workers[:workers]
+    def buffers(self, workers: int, pending: bool) -> list[_WorkerBuffers]:
+        """The buffers of workers workers, with pending blocks if pending;
+        those of any worker past `_KEPT_WORKERS` are made for this draw and
+        dropped with it."""
+        while len(self.workers) < min(workers, _KEPT_WORKERS):
+            self.workers.append(_WorkerBuffers(self.block))
+        made = self.workers[:workers]
+        made += [_WorkerBuffers(self.block) for _ in range(workers - len(made))]
+        for buffers in made:
+            if pending and buffers.pending is None:
+                buffers.pending = np.empty(_PENDING_BLOCKS * self.block)
+        return made
 
     def key_table(self, size: int) -> np.ndarray:
         """The key table, remade here to size entries if it is shorter."""
@@ -246,39 +260,38 @@ def _workspace(block: int = 0) -> Iterator[_Workspace]:
     """The workspace of one draw whose blocks hold up to max(block,
     `_BLOCK_CELLS`) cells.
 
-    That is the kept workspace, made anew unless its block and pool sizes are
-    `_BLOCK_CELLS` and `_POOL_CELLS`.  A draw that finds it in use by another
-    thread, or whose blocks are larger, gets a workspace of its own, dropped
-    on return.
+    That is the kept workspace, made by the first draw with the block and
+    pool sizes of that time.  A draw that finds it in use by another thread,
+    or whose blocks are larger than `_BLOCK_CELLS`, gets a workspace of its
+    own, dropped on return.
     """
     global _kept
     if block > _BLOCK_CELLS or not _kept_lock.acquire(blocking=False):
-        yield _Workspace(max(block, _BLOCK_CELLS), _POOL_CELLS)
+        yield _Workspace(max(block, _BLOCK_CELLS))
         return
     try:
-        if _kept is None or (_kept.block, _kept.pool) != (_BLOCK_CELLS, _POOL_CELLS):
-            _kept = None  # free the old buffers before the new ones are made
-            _kept = _Workspace(_BLOCK_CELLS, _POOL_CELLS)
+        if _kept is None:
+            _kept = _Workspace(_BLOCK_CELLS)
         yield _kept
     finally:
         _kept_lock.release()
 
 
 def _spread(work: Callable[[range, _WorkerBuffers], None], starts: range,
-            workspace: _Workspace) -> None:
+            workspace: _Workspace, pending: bool = False) -> None:
     """Run work(share, buffers) over every block start, one worker per CPU.
 
     There are min(CPUs, blocks) workers; worker i takes starts[i::workers]
-    and the workspace's buffers of worker i, any missing ones made here
-    before a thread starts.  Worker 0 runs in the calling thread, so a
-    one-block draw starts no thread.  Every thread is joined before return,
-    and the first exception any worker raised is then raised here.  work
-    must write only its own buffers and the output slices of its own blocks,
-    and call no public function of this module: the tracer's wrappers around
-    those are not thread-safe.
+    and the workspace's buffers of worker i, with pending blocks if pending,
+    any missing ones made here before a thread starts.  Worker 0 runs in the
+    calling thread, so a one-block draw starts no thread.  Every thread is
+    joined before return, and the first exception any worker raised is then
+    raised here.  work must write only its own buffers and the output slices
+    of its own blocks, and call no public function of this module: the
+    tracer's wrappers around those are not thread-safe.
     """
     workers = max(1, min(_cpus(), len(starts)))
-    buffers = workspace.buffers(workers)
+    buffers = workspace.buffers(workers, pending)
     errors: list[BaseException] = []
 
     def run(i: int) -> None:
@@ -324,51 +337,50 @@ def normal_cells(seed: int, domain: int, start: int, count: int,
                  reduce: _NestedSums | None = None) -> np.ndarray | None:
     """count standard normals, one per cell, for cells [start, start+count).
 
-    Each worker runs attempt 0 of the polar method over each of its blocks
-    and moves the cells it rejects to the worker's pool, whose retry rounds
-    run when it is full and once after the worker's last block.
-
-    Given reduce, the draw is streamed and returns None.  Its blocks are
-    reduce.cells long, and a worker writes each one to a free one of its
-    `_PENDING_BLOCKS` pending blocks, running the retry rounds first when
-    none is free.  Once the rounds that resolve a block's pooled cells have
-    run, the worker calls reduce(lo, values, scratch), with values the
+    Each worker runs attempt 0 of the polar method over each of its blocks,
+    written to a free one of its `_PENDING_BLOCKS` pending blocks, and moves
+    the cells it rejects to the worker's pool.  The pool's retry rounds run
+    when it is full, when no pending block is free, and once after the
+    worker's last block.  Once the rounds that resolve a block's pooled cells
+    have run, the worker calls reduce(lo, values, scratch), with values the
     normals of cells [start + lo, start + lo + values.size) and scratch its
     polar scratch, free until its next attempt.
+
+    Given reduce, the draw is streamed in blocks of reduce.cells and returns
+    None; without it, each block is copied to its slice of the returned array.
     """
+    out = None
+    if reduce is None:
+        out = np.empty(count)
+        reduce = _Copy(out)
     domain_key = _domain_key(seed, domain)
-    cells = _BLOCK_CELLS if reduce is None else reduce.cells
-    out = np.empty(count) if reduce is None else None
+    cells = reduce.cells
 
     with _workspace(cells) as workspace:
         table = workspace.key_table(min(count, cells))
         slots = range(0, _PENDING_BLOCKS * cells, cells)
 
         def work(share: range, buffers: _WorkerBuffers) -> None:
-            polar, pool = buffers.polar, buffers.pool
+            polar, pool, pending = buffers.polar, buffers.pool, buffers.pending
             pool_keys, pool_at = pool[0], pool[1]
-            dest = out if reduce is None else buffers.pending
-            # (lo, offset in dest, size) of the streamed blocks whose pooled
-            # cells wait for the next retry rounds
+            # (lo, offset in pending, size) of the blocks whose pooled cells
+            # wait for the next retry rounds
             held: list[tuple[int, int, int]] = []
             pooled = 0
 
             def drain() -> None:
                 nonlocal pooled
-                _polar_retries(dest, pool, pooled, polar)
+                _polar_retries(pending, pool, pooled, polar)
                 pooled = 0
                 for lo, at, size in held:
-                    reduce(lo, dest[at:at + size], polar)
+                    reduce(lo, pending[at:at + size], polar)
                 held.clear()
 
             for lo in share:
-                if reduce is None:
-                    at = lo
-                else:
-                    if len(held) == _PENDING_BLOCKS:
-                        drain()
-                    at = next(a for a in slots if all(a != h[1] for h in held))
-                block = dest[at:at + min(cells, count - lo)]
+                if len(held) == _PENDING_BLOCKS:
+                    drain()
+                at = next(a for a in slots if all(a != h[1] for h in held))
+                block = pending[at:at + min(cells, count - lo)]
                 keys = _cell_keys(domain_key, start + lo, table[:block.size], buffers.keys,
                                   polar[1])
                 rejected = _polar_attempt(block, keys, 0, polar)
@@ -382,11 +394,10 @@ def normal_cells(seed: int, domain: int, start: int, count: int,
                     if pooled == pool_keys.size:
                         # finishes the held blocks; this one is held below
                         drain()
-                if reduce is not None:
-                    held.append((lo, at, block.size))
+                held.append((lo, at, block.size))
             drain()
 
-        _spread(work, range(0, count, cells), workspace)
+        _spread(work, range(0, count, cells), workspace, pending=True)
     return out
 
 
@@ -442,6 +453,16 @@ def _polar_retries(out: np.ndarray, pool: tuple[np.ndarray, ...], count: int,
         keys[:count] = keys[rejected]
         at[:count] = at[rejected]
         k += 1
+
+
+class _Copy:
+    """The blocks of a plain normal draw, copied to their slices of out."""
+
+    def __init__(self, out: np.ndarray):
+        self.out, self.cells = out, _BLOCK_CELLS
+
+    def __call__(self, lo: int, values: np.ndarray, scratch: tuple[np.ndarray, ...]) -> None:
+        self.out[lo:lo + values.size] = values
 
 
 class _NestedSums:

@@ -17,6 +17,7 @@ from nullform import linmodel, montecarlo
 from nullform.errors import DomainError, NumericError
 from nullform.montecarlo import (
     _BLOCK_CELLS,
+    _KEPT_WORKERS,
     _STREAM_SALT,
     Scenario,
     SimConfig,
@@ -44,6 +45,13 @@ from nullform.specfun import (
     quantile,
     student_t,
 )
+
+
+@pytest.fixture(autouse=True)
+def fresh_workspace(monkeypatch):
+    # each test draws in a workspace of its own, made with the block and pool
+    # sizes of its first draw and dropped when the test ends
+    monkeypatch.setattr(montecarlo, "_kept", None)
 
 
 # the generator helpers write into buffers their callers own; these give
@@ -375,22 +383,28 @@ class TestWorkers:
         assert {cells: _sha(normal_cells(*cells)) for cells in DRAW_SHA256} == {
             cells: digests[0] for cells, digests in DRAW_SHA256.items()}
 
-    @pytest.mark.parametrize("workers, blocks", [(2, 5), (5, 5), (2, 16)])
+    @pytest.mark.parametrize("workers, blocks", [(2, 5), (5, 5), (2, 16), (8, 8)])
     def test_kept_workspace_holds_nine_blocks_per_worker(self, monkeypatch, workers, blocks):
         # the buffers that test_memory_is_bounded_per_worker no longer sees in
-        # its measured draw: keys, polar scratch, pool and pending blocks per
-        # worker, and one key table
+        # its measured draw: keys, polar scratch, pool and pending blocks of
+        # at most _KEPT_WORKERS workers, whatever the CPU count, and one key
+        # table; uniform and proportion draws make no pending blocks
         monkeypatch.setattr(montecarlo, "_cpus", lambda: workers)
-        monkeypatch.setattr(montecarlo, "_kept", None)
+        uniform_cells(3, 1, 0, blocks * _BLOCK_CELLS)
+        simulate_size_power(SimConfig(replicates=blocks * _BLOCK_CELLS // 16, seed=3, n=16,
+                                      scenario=Scenario.PROPORTION))
+        workspace = montecarlo._kept
+        assert all(buffers.pending is None for buffers in workspace.workers)
         normal_cells(3, 1, 0, blocks * _BLOCK_CELLS)
         simulate_size_power(SimConfig(replicates=blocks * _BLOCK_CELLS // 16, seed=3, n=16,
                                       scenario=Scenario.NESTED_F, p1=1, p2=2))
-        workspace = montecarlo._kept
-        assert len(workspace.workers) == workers
+        assert montecarlo._kept is workspace
+        kept = min(workers, _KEPT_WORKERS)
+        assert len(workspace.workers) == kept
         arrays = [workspace.table, *(array for buffers in workspace.workers
                                      for array in (buffers.keys, *buffers.polar,
                                                    *buffers.pool, buffers.pending))]
-        assert sum(array.nbytes for array in arrays) <= workers * 9 * (8 * _BLOCK_CELLS)
+        assert sum(array.nbytes for array in arrays) <= kept * 9 * (8 * _BLOCK_CELLS)
 
     def test_second_draw_allocates_only_its_output(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
@@ -421,11 +435,11 @@ class TestWorkers:
         # blocks of whole rows, and rows longer than a block, one a block;
         # per-block BLAS products may differ from one call in the last bit
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
-        kept = montecarlo._kept
         replicates = 3 if n > _BLOCK_CELLS else 2 * _BLOCK_CELLS // n + 5
         cfg = SimConfig(replicates=replicates, seed=5, n=n, scenario=Scenario.NESTED_F,
                         effect=0.5, p1=1, p2=2)
         x = normal_cells(5, 2, 0, n * 3).reshape(n, 3)
+        kept = montecarlo._kept
         x[:, 0] = 1.0
         q, _ = np.linalg.qr(x)
         y = normals_of(cell_keys(_domain_key(5, 1), 0, replicates * n)).reshape(-1, n)
@@ -435,8 +449,7 @@ class TestWorkers:
         np.testing.assert_allclose(f_trad, (ss2 / 2) / (sse12 / (n - 3)), rtol=1e-12)
         np.testing.assert_allclose(f_null, (ss2 / 2) / (sse1 / (n - 1)), rtol=1e-12)
         # rows longer than a block get a workspace of their own
-        if kept is not None:
-            assert montecarlo._kept is kept
+        assert montecarlo._kept is kept
 
     def test_streamed_sums_do_not_depend_on_the_pool(self, monkeypatch):
         # a pool of 1000 fills many times per block, and its early retry
@@ -446,24 +459,11 @@ class TestWorkers:
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
         whole = _nested_statistics(cfg)
         monkeypatch.setattr(montecarlo, "_POOL_CELLS", 1000)
+        monkeypatch.setattr(montecarlo, "_kept", None)
         for workers in (1, 2):
             monkeypatch.setattr(montecarlo, "_cpus", lambda: workers)
             parts = _nested_statistics(cfg)
             assert all(np.array_equal(a, b) for a, b in zip(parts[:2], whole[:2]))
-
-    @pytest.mark.parametrize("patch, value", [("_BLOCK_CELLS", 4096), ("_POOL_CELLS", 1000)])
-    def test_workspace_made_under_a_patch_is_not_reused(self, monkeypatch, patch, value):
-        count = 2 * _BLOCK_CELLS + 3
-        keys = cell_keys(_domain_key(9, 1), 1234, count)
-        with monkeypatch.context() as patched:
-            patched.setattr(montecarlo, patch, value)
-            assert normal_cells(9, 1, 1234, count).tobytes() == normals_of(keys).tobytes()
-            made = montecarlo._kept
-            assert getattr(made, "block" if patch == "_BLOCK_CELLS" else "pool") == value
-        assert normal_cells(9, 1, 1234, count).tobytes() == normals_of(keys).tobytes()
-        assert montecarlo._kept is not made
-        assert (montecarlo._kept.block, montecarlo._kept.pool) == (_BLOCK_CELLS,
-                                                                   montecarlo._POOL_CELLS)
 
     def test_draw_that_finds_the_workspace_in_use_makes_its_own(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
