@@ -19,9 +19,10 @@ csv.reader, which keeps a line break inside a quoted cell in it; a
 malformed or over-long field there is a DataError.
 
 Parsing is column-wise: each kept column is converted with one float() pass
-and screened with one fsum; only a column that fails the screen is parsed
-cell by cell, and its unusable cells drop their rows.  The two passes accept
-the same cells, because float() succeeds only where the stripped cell parses.
+and screened with one plain sum; only a column that fails the screen is
+parsed cell by cell, and its unusable cells drop their rows.  The two passes
+accept the same cells, because float() succeeds only where the stripped cell
+parses.
 """
 
 from __future__ import annotations

@@ -20,11 +20,10 @@ directly from the augmented residuals e_j + h_ji e_i / (1 - h_i), j != i,
 with h_ji = Q_j . Q_i, losing at most one bit.
 
 Each column of the table is one array whose row states (tested, untested,
-flagged) are set by masks.  The table holds those arrays and no row records:
-`outliers`, `plot` and `residual_gaps` read the columns, and `rows` is a view
-built on first access.  `DiagnosticsTable.outliers` is the one outlier rule,
-not flagged and p <= alpha, over the columns: the mask the CLI report and
-the plot share.
+flagged) are set by masks.  The table is those arrays: `outliers`, `plot`,
+the report and `residual_gaps` read the columns, and there is no per-row
+view.  `DiagnosticsTable.outliers` is the one outlier rule, not flagged and
+p <= alpha, over the columns: the mask the CLI report and the plot share.
 
 The per-row augmented nested F-test and the leave-one-out formula
 t_i = e_i / sqrt(s_(i)^2 (1 - h_i)) are independent oracles in the tests.
@@ -32,7 +31,6 @@ t_i = e_i / sqrt(s_(i)^2 (1 - h_i)) are independent oracles in the tests.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -91,14 +89,14 @@ class DiagnosticsTable:
     Each name in COLUMNS is a read-only float64 array; a flagged row holds
     NaN in the five residual columns.  `flagged` is a read-only bool array
     and `fitted` the base model's fitted values, empty when a table is
-    rebuilt from its rows alone.  `rows` holds the same numbers as
-    DiagnosticsRow records, built on first access.
+    rebuilt from DiagnosticsRow records alone.
 
-    `DiagnosticsTable(rows, n=, p=, fitted=)` converts rows, whose indexes
-    must run 0, 1, ..., to columns; `from_columns` takes the arrays.
+    `from_columns` takes the arrays.  `DiagnosticsTable(rows, n=, p=,
+    fitted=)` converts DiagnosticsRow records, whose indexes must run 0, 1,
+    ..., to columns; the table keeps no record.
     """
 
-    # the float columns, in DiagnosticsRow field order
+    # the float columns, in the order of from_columns' arguments
     COLUMNS = ("leverage", "raw_residual", "standardized", "studentized",
                "outlier_p_value", "bonferroni_p_value", "gap")
 
@@ -124,11 +122,6 @@ class DiagnosticsTable:
             setattr(self, name, _read_only(values, np.float64))
         self.flagged = _read_only(flagged, np.bool_)
 
-    @functools.cached_property
-    def rows(self) -> tuple[DiagnosticsRow, ...]:
-        columns = (getattr(self, name).tolist() for name in self.COLUMNS)
-        return tuple(map(DiagnosticsRow, range(len(self)), *columns, self.flagged.tolist()))
-
     def outliers(self, alpha: float) -> np.ndarray:
         """Bool mask of the rows that test as outliers at level alpha: not
         flagged (a flagged row has no test) and p <= alpha."""
@@ -136,9 +129,6 @@ class DiagnosticsTable:
 
     def __len__(self) -> int:
         return len(self.flagged)
-
-    def __iter__(self):
-        return iter(self.rows)
 
 
 def leverage(x: DesignMatrix) -> tuple[float, ...]:

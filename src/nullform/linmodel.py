@@ -174,7 +174,9 @@ def _qr_with_rank_check(x: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
     q, r = np.linalg.qr(x.data, mode="reduced")
     diag = np.abs(np.diag(r))
     threshold = _RANK_RTOL * diag.max()
-    deficient = np.nonzero(diag < threshold)[0]
+    # an all-zero design leaves no |R_jj| below a threshold of 0: it is
+    # deficient at its first column
+    deficient = np.nonzero(diag < threshold if threshold else diag == 0.0)[0]
     if deficient.size:
         raise RankDeficiencyError(x.labels[int(deficient[0])])
     return q, r

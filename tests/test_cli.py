@@ -471,6 +471,19 @@ def test_outliers_without_intercept_or_predictors_exits_4(capsys, tmp_path):
     assert "the design needs at least one column" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["ftest", "--response", "y", "--full-cols", "x", "--json"],
+    ["outliers", "--response", "y", "--predictors", "x", "--no-intercept"],
+])
+def test_an_all_zero_predictor_is_rank_deficient(capsys, tmp_path, command):
+    path = tmp_path / "zero_x.csv"
+    path.write_text("y,x\n1.2,0\n0.5,0\n2.0,0\n-1.0,0\n0.3,0\n", encoding="utf-8")
+    assert run_command([*command, "--input", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert "design matrix is rank deficient at column 'x'" in captured.err
+    assert captured.out == ""
+
+
 REG_ROWS = [("a", 1.1, 0.2), ("b", 1.8, 1.1), ("c", 3.1, 2.0), ("d", 9.0, 2.9),
             ("e", 4.9, 4.1), ("f", 6.2, 5.0), ("g", 7.1, 6.2)]
 

@@ -65,6 +65,21 @@ def augmented_f_test(xarr, yarr, i):
     return nested_f_test(spec, Sample.from_iterable(yarr))
 
 
+def assert_augmented_oracle(table, xarr, yarr):
+    """Each row's residuals squared against its literal augmented F-test."""
+    for i, (r, t) in enumerate(zip(table.standardized.tolist(), table.studentized.tolist())):
+        res = augmented_f_test(xarr, yarr, i)
+        assert r**2 == pytest.approx(res.f_null, rel=1e-9)
+        assert t**2 == pytest.approx(res.f_trad, rel=1e-9)
+
+
+def rows_of(table):
+    """The table's columns as DiagnosticsRow records, the input of the rows
+    constructor that the benchmark's plot check rebuilds a table with."""
+    columns = (getattr(table, name).tolist() for name in DiagnosticsTable.COLUMNS)
+    return tuple(map(DiagnosticsRow, range(len(table)), *columns, table.flagged.tolist()))
+
+
 def row_by_row_diagnostics(x, y):
     """The table built one row at a time, one Python branch per row state,
     used only as an oracle for the masked columns of residual_diagnostics."""
@@ -127,39 +142,34 @@ class TestWorkedExample:
         self.table = residual_diagnostics(self.x, self.y)
 
     def test_leverage_third(self):
-        for row in self.table:
-            assert row.leverage == pytest.approx(1.0 / 3.0, rel=1e-12)
+        for h in self.table.leverage.tolist():
+            assert h == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_raw_residuals(self):
-        raw = tuple(row.raw_residual for row in self.table)
+        raw = tuple(self.table.raw_residual.tolist())
         assert raw == pytest.approx((-2.0, -1.0, 3.0), rel=1e-12)
 
     def test_third_observation_to_seven_digits(self):
-        row = self.table.rows[2]
-        assert row.standardized == pytest.approx(1.3887301, abs=5e-8)
-        assert row.studentized == pytest.approx(5.1961524, abs=5e-8)
+        assert self.table.standardized[2] == pytest.approx(1.3887301, abs=5e-8)
+        assert self.table.studentized[2] == pytest.approx(5.1961524, abs=5e-8)
 
     def test_signs_follow_residuals(self):
-        for row in self.table:
-            if row.raw_residual != 0.0:
-                assert math.copysign(1.0, row.standardized) == math.copysign(
-                    1.0, row.raw_residual
-                )
-                assert math.copysign(1.0, row.studentized) == math.copysign(
-                    1.0, row.raw_residual
-                )
+        cells = zip(self.table.raw_residual.tolist(), self.table.standardized.tolist(),
+                    self.table.studentized.tolist())
+        for e, r, t in cells:
+            if e != 0.0:
+                assert math.copysign(1.0, r) == math.copysign(1.0, e)
+                assert math.copysign(1.0, t) == math.copysign(1.0, e)
 
     def test_outlier_p_value_from_t1(self):
         # df = n - p - 1 = 1: two-sided Cauchy tail at |t_3|
-        row = self.table.rows[2]
-        expect = 2.0 * (0.5 - math.atan(abs(row.studentized)) / math.pi)
-        assert row.outlier_p_value == pytest.approx(expect, abs=1e-12)
+        expect = 2.0 * (0.5 - math.atan(abs(self.table.studentized[2])) / math.pi)
+        assert self.table.outlier_p_value[2] == pytest.approx(expect, abs=1e-12)
 
     def test_bonferroni_column(self):
-        for row in self.table:
-            assert row.bonferroni_p_value == pytest.approx(
-                min(1.0, 3 * row.outlier_p_value), abs=1e-13
-            )
+        for p, bonf in zip(self.table.outlier_p_value.tolist(),
+                           self.table.bonferroni_p_value.tolist()):
+            assert bonf == pytest.approx(min(1.0, 3 * p), abs=1e-13)
 
 
 class TestOracles:
@@ -175,8 +185,7 @@ class TestOracles:
                 DesignMatrix(xarr), Sample.from_iterable(yarr)
             )
             want = loo_studentized(xarr, yarr)
-            got = np.array([row.studentized for row in table])
-            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+            assert table.studentized == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_augmented_oracle_on_random_regressions(self):
         rng = np.random.default_rng(2025)
@@ -184,10 +193,7 @@ class TestOracles:
             n = int(rng.integers(6, 30))
             xarr, yarr = random_regression(rng, n, int(rng.integers(1, min(5, n - 2))))
             table = residual_diagnostics(DesignMatrix(xarr), Sample.from_iterable(yarr))
-            for row in table:
-                res = augmented_f_test(xarr, yarr, row.index)
-                assert row.standardized**2 == pytest.approx(res.f_null, rel=1e-9)
-                assert row.studentized**2 == pytest.approx(res.f_trad, rel=1e-9)
+            assert_augmented_oracle(table, xarr, yarr)
 
     def test_augmented_oracle_with_extreme_outlier(self):
         # a 1e6-sigma outlier carries nearly all of SSE: SSE - SS_{2|1,i}
@@ -197,13 +203,10 @@ class TestOracles:
         xarr, yarr = random_regression(rng, n, p)
         yarr[k] += 1e6
         table = residual_diagnostics(DesignMatrix(xarr), Sample.from_iterable(yarr))
-        for row in table:
-            res = augmented_f_test(xarr, yarr, row.index)
-            assert row.standardized**2 == pytest.approx(res.f_null, rel=1e-9)
-            assert row.studentized**2 == pytest.approx(res.f_trad, rel=1e-9)
+        assert_augmented_oracle(table, xarr, yarr)
         # the plain subtraction misses on the outlier's row
         base = fit(DesignMatrix(xarr), Sample.from_iterable(yarr))
-        ss2 = base.residuals[k] ** 2 / (1.0 - table.rows[k].leverage)
+        ss2 = base.residuals[k] ** 2 / (1.0 - table.leverage[k])
         plain = ss2 / ((base.sse - ss2) / (n - p - 1))
         assert plain != pytest.approx(augmented_f_test(xarr, yarr, k).f_trad, rel=1e-9)
 
@@ -217,9 +220,10 @@ class TestOracles:
         table = residual_diagnostics(x, y)
         base = fit(x, y)
         s2 = base.sse / (15 - 3)
-        for row in table:
-            want = row.raw_residual / math.sqrt(s2 * (1.0 - row.leverage))
-            assert row.standardized == pytest.approx(want, rel=1e-9)
+        cells = zip(table.raw_residual.tolist(), table.leverage.tolist(),
+                    table.standardized.tolist())
+        for e, h, r in cells:
+            assert r == pytest.approx(e / math.sqrt(s2 * (1.0 - h)), rel=1e-9)
 
     def test_leverage_sums_to_p(self):
         rng = np.random.default_rng(17)
@@ -243,12 +247,13 @@ class TestPValues:
         for yarr in (noisy, exact):
             table = residual_diagnostics(DesignMatrix(xarr), Sample.from_iterable(yarr))
             dist = student_t(float(table.n - table.p - 1))
-            for row in table:
-                want = 2.0 * cdf(dist, -abs(row.studentized))
-                assert row.outlier_p_value == pytest.approx(want, rel=1e-13, abs=0.0)
-                assert row.bonferroni_p_value == min(1.0, table.n * row.outlier_p_value)
-        assert table.rows[7].studentized == math.copysign(math.inf, spike)
-        assert table.rows[7].outlier_p_value == 0.0
+            cells = zip(table.studentized.tolist(), table.outlier_p_value.tolist(),
+                        table.bonferroni_p_value.tolist())
+            for t, p, bonf in cells:
+                assert p == pytest.approx(2.0 * cdf(dist, -abs(t)), rel=1e-13, abs=0.0)
+                assert bonf == min(1.0, table.n * p)
+        assert table.studentized[7] == math.copysign(math.inf, spike)
+        assert table.outlier_p_value[7] == 0.0
 
 
 class TestEdgeCases:
@@ -256,32 +261,29 @@ class TestEdgeCases:
         table = residual_diagnostics(
             DesignMatrix([[1.0]] * 3), Sample.from_iterable([1.0, 2.0, 3.0])
         )
-        middle = table.rows[1]
         # QR projection dust can leave ~1e-16 in an exactly-zero residual
-        assert middle.raw_residual == pytest.approx(0.0, abs=1e-14)
-        assert middle.standardized == 0.0
-        assert middle.studentized == 0.0
-        assert middle.outlier_p_value == 1.0
-        assert middle.gap == 0.0
+        assert table.raw_residual[1] == pytest.approx(0.0, abs=1e-14)
+        assert table.standardized[1] == 0.0
+        assert table.studentized[1] == 0.0
+        assert table.outlier_p_value[1] == 1.0
+        assert table.gap[1] == 0.0
 
     def test_all_residuals_zero(self):
         x = DesignMatrix([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0], [1.0, 4.0]])
         y = Sample.from_iterable([2.0, 4.0, 6.0, 8.0])
         table = residual_diagnostics(x, y)
-        assert all(row.standardized == 0.0 for row in table)
-        assert all(row.gap == 0.0 for row in table)
+        assert all(r == 0.0 for r in table.standardized.tolist())
+        assert all(gap == 0.0 for gap in table.gap.tolist())
         assert residual_gaps(table) == [(0, 0.0), (1, 0.0), (2, 0.0), (3, 0.0)]
 
     def test_unit_leverage_row_is_flagged(self):
         x = DesignMatrix([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         y = Sample.from_iterable([1.0, 2.0, 3.0, 9.0])
         table = residual_diagnostics(x, y)
-        last = table.rows[3]
-        assert last.flagged
-        assert last.leverage == pytest.approx(1.0, abs=1e-12)
-        assert math.isnan(last.studentized)
-        others = [row for row in table.rows[:3]]
-        assert all(not row.flagged for row in others)
+        assert table.flagged[3]
+        assert table.leverage[3] == pytest.approx(1.0, abs=1e-12)
+        assert math.isnan(table.studentized[3])
+        assert not table.flagged[:3].any()
         # flagged rows stay out of the gap ranking
         assert all(idx != 3 for idx, _ in residual_gaps(table))
 
@@ -294,12 +296,12 @@ class TestEdgeCases:
         yarr = 1.0 + 0.5 * xs + rng.standard_normal(n)
         y = Sample.from_iterable(yarr)
         base = residual_diagnostics(DesignMatrix.from_columns([np.ones(n), xs]), y)
-        assert base.rows[0].leverage > 0.98
+        assert base.leverage[0] > 0.98
         scaled = residual_diagnostics(DesignMatrix.from_columns([np.ones(n), 1e8 * xs]), y)
-        for a, b in zip(base, scaled):
-            assert b.leverage == pytest.approx(a.leverage, rel=1e-9)
-            assert b.standardized**2 == pytest.approx(a.standardized**2, rel=1e-9)
-            assert b.studentized**2 == pytest.approx(a.studentized**2, rel=1e-9)
+        assert scaled.leverage.tolist() == pytest.approx(base.leverage.tolist(), rel=1e-9)
+        for name in ("standardized", "studentized"):
+            a, b = getattr(base, name).tolist(), getattr(scaled, name).tolist()
+            assert [v**2 for v in b] == pytest.approx([v**2 for v in a], rel=1e-9)
 
     def test_needs_spare_degrees_of_freedom(self):
         with pytest.raises(DomainError):
@@ -342,7 +344,10 @@ class TestRowStates:
         oracle = row_by_row_diagnostics(x, y)
         assert (table.n, table.p) == (oracle.n, oracle.p)
         assert table.fitted.tolist() == oracle.fitted.tolist()
-        assert list(map(repr, table.rows)) == list(map(repr, oracle.rows))
+        # repr tells -0.0 from 0.0 and makes NaN equal NaN
+        for name in (*DiagnosticsTable.COLUMNS, "flagged"):
+            got, want = getattr(table, name).tolist(), getattr(oracle, name).tolist()
+            assert list(map(repr, got)) == list(map(repr, want)), name
         return table
 
     @pytest.mark.parametrize(
@@ -362,12 +367,14 @@ class TestRowStates:
         x, y = self.design(3, 24, 3, unit_leverage, exact, spike, zero_row)
         table = self.assert_same(x, y)
         seen = set()
-        for row in table:
-            if row.flagged:
+        cells = zip(table.flagged.tolist(), table.standardized.tolist(),
+                    table.studentized.tolist(), table.outlier_p_value.tolist())
+        for flagged, r, t, p in cells:
+            if flagged:
                 seen.add("flagged")
-            elif math.isinf(row.studentized):
+            elif math.isinf(t):
                 seen.add("saturated")
-            elif row.standardized == 0.0 and row.outlier_p_value == 1.0:
+            elif r == 0.0 and p == 1.0:
                 seen.add("untested")
             else:
                 seen.add("tested")
@@ -393,17 +400,17 @@ class TestOutlierRule:
 
     @staticmethod
     def assert_rule(table):
-        ps = sorted({r.outlier_p_value for r in table if math.isfinite(r.outlier_p_value)})
+        flags, p_values = table.flagged.tolist(), table.outlier_p_value.tolist()
+        ps = sorted({p for p in p_values if math.isfinite(p)})
         for alpha in (0.01, 0.05, 0.5, *ps[:3], *ps[-2:]):
-            for row, outlier in zip(table, table.outliers(alpha).tolist()):
-                p = row.outlier_p_value
-                assert outlier is (not row.flagged and p <= alpha)
+            for flagged, p, outlier in zip(flags, p_values, table.outliers(alpha).tolist()):
+                assert outlier is (not flagged and p <= alpha)
                 assert outlier is (math.isfinite(p) and p <= alpha)
 
     def test_table_from_residual_diagnostics(self):
         x, y = TestRowStates.design(5, 30, 3, True, False, 6.0, False)
         table = residual_diagnostics(x, y)
-        assert any(row.flagged for row in table)
+        assert table.flagged.any()
         assert table.outliers(0.05).any()
         self.assert_rule(table)
 
@@ -426,7 +433,7 @@ class TestOutlierRule:
                               for k, v in row.items() if k != "label"})
             for row in payload["diagnostics"]), n=payload["results"]["n"],
             p=payload["results"]["p"])
-        assert table.rows[0].flagged and math.isnan(table.rows[0].outlier_p_value)
+        assert table.flagged[0] and math.isnan(table.outlier_p_value[0])
         assert payload["results"]["outliers"] == list(
             compress("abcdefgh", table.outliers(0.05))) == ["d"]
         self.assert_rule(table)
@@ -441,7 +448,7 @@ class TestColumns:
         # as the benchmark's plot check rebuilds one, from DiagnosticsRow records
         x, y = TestRowStates.design(3, 24, 3, unit_leverage, exact, spike, False)
         table = residual_diagnostics(x, y)
-        again = DiagnosticsTable(table.rows, n=table.n, p=table.p, fitted=table.fitted)
+        again = DiagnosticsTable(rows_of(table), n=table.n, p=table.p, fitted=table.fitted)
         for name in (*DiagnosticsTable.COLUMNS, "flagged", "fitted"):
             column = getattr(again, name)
             assert column.dtype == getattr(table, name).dtype
@@ -453,7 +460,7 @@ class TestColumns:
 
     def test_rows_must_come_in_index_order(self):
         x, y = TestRowStates.design(3, 12, 2, False, False, 0.0, False)
-        rows = residual_diagnostics(x, y).rows
+        rows = rows_of(residual_diagnostics(x, y))
         with pytest.raises(ValueError, match="index order"):
             DiagnosticsTable(rows[::-1], n=12, p=2)
 
@@ -475,9 +482,10 @@ class TestColumns:
             n, 2, (), data.draw(cells), data.draw(cells), undefined * r, undefined * t,
             undefined * p, undefined * np.minimum(1.0, n * np.array(p)), undefined * gap,
             flagged)
+        flags = table.flagged.tolist()
         assert table.outliers(alpha).tolist() == [
-            not row.flagged and row.outlier_p_value <= alpha for row in table.rows]
-        pairs = [(row.index, row.gap) for row in table.rows if not row.flagged]
+            not f and p_i <= alpha for f, p_i in zip(flags, table.outlier_p_value.tolist())]
+        pairs = [(i, g) for i, (f, g) in enumerate(zip(flags, table.gap.tolist())) if not f]
         assert residual_gaps(table) == sorted(pairs, key=lambda item: (-item[1], item[0]))
 
 
@@ -508,9 +516,9 @@ class TestMap:
         table = residual_diagnostics(
             DesignMatrix(xarr), Sample.from_iterable(rng.standard_normal(12))
         )
-        for row in table:
-            mapped = map_standardized_to_studentized(row.standardized, 12, 2)
-            assert mapped == pytest.approx(row.studentized, rel=1e-9, abs=1e-12)
+        for r, t in zip(table.standardized.tolist(), table.studentized.tolist()):
+            mapped = map_standardized_to_studentized(r, 12, 2)
+            assert mapped == pytest.approx(t, rel=1e-9, abs=1e-12)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
@@ -544,13 +552,15 @@ class TestDecisionEquivalence:
         t_crit = quantile(student_t(float(df)), 1.0 - alpha / 2.0)
         f_crit = quantile(fisher_f(1.0, float(df)), 1.0 - alpha)
         r_crit = map_critical_r(alpha, n, p)
-        for row in table:
-            if row.flagged:
+        cells = zip(table.flagged.tolist(), table.standardized.tolist(),
+                    table.studentized.tolist(), table.outlier_p_value.tolist())
+        for flagged, r, t, p in cells:
+            if flagged:
                 continue
-            by_t = abs(row.studentized) >= t_crit
-            by_r = abs(row.standardized) >= r_crit
-            by_f_trad = row.studentized**2 >= f_crit
-            by_p = row.outlier_p_value <= alpha
+            by_t = abs(t) >= t_crit
+            by_r = abs(r) >= r_crit
+            by_f_trad = t**2 >= f_crit
+            by_p = p <= alpha
             assert by_t == by_r == by_f_trad == by_p
 
 

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from nullform.diagnostics import residual_diagnostics
+from nullform.diagnostics import leverage, residual_diagnostics
 from nullform.errors import DomainError, RankDeficiencyError
 from nullform.linmodel import (
     DesignMatrix,
@@ -107,6 +107,20 @@ class TestFit:
             fit(x, Sample.from_iterable([1.0, 2.0, 3.0, 4.0]))
         assert exc.value.column == "twice_const"
         assert "twice_const" in str(exc.value)
+
+    @pytest.mark.parametrize("labels", [("x",), ("x", "z")])
+    def test_an_all_zero_design_is_deficient_at_its_first_column(self, labels):
+        # every |R_jj| is 0, so a threshold relative to the largest is 0 too;
+        # the Householder QR of a zero column returns e_1, which would test
+        # the first row's indicator
+        x = DesignMatrix(np.zeros((5, len(labels))), labels)
+        y = Sample.from_iterable([1.2, 0.5, 2.0, -1.0, 0.3])
+        calls = [lambda: fit(x, y), lambda: nested_f_test(NestedSpec(x, p1=0), y),
+                 lambda: residual_diagnostics(x, y), lambda: leverage(x)]
+        for call in calls:
+            with pytest.raises(RankDeficiencyError) as exc:
+                call()
+            assert exc.value.column == "x"
 
     def test_shape_errors(self):
         x = DesignMatrix([[1.0], [1.0]])

@@ -3,6 +3,7 @@ bytes, scenario sizes, null-law KS checks, and power monotonicity."""
 
 import hashlib
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -326,6 +327,13 @@ class TestWorkers:
         assert {cells: (_sha(normal_cells(*cells)), _sha(uniform_cells(*cells)))
                 for cells in DRAW_SHA256} == DRAW_SHA256
         assert self._simulations() == simulations
+
+    def test_cpus_without_an_affinity_mask(self, monkeypatch):
+        # a platform without sched_getaffinity counts every CPU
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert montecarlo._cpus() == (os.cpu_count() or 1)
+        assert {cells: (_sha(normal_cells(*cells)), _sha(uniform_cells(*cells)))
+                for cells in DRAW_SHA256} == DRAW_SHA256
 
     def test_worker_error_is_raised_after_every_join(self, monkeypatch):
         # one polar attempt per cell: every block has rejected cells left, so

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -34,11 +35,13 @@ def make_table(values, design=None):
 def expected_point_counts(table, fitted, alpha):
     """Circles and diamonds the document should contain, over all 4 panels."""
     circles = diamonds = 0
-    for r in table.rows:
-        if r.flagged or not math.isfinite(fitted[r.index]):
+    cells = zip(table.flagged.tolist(), fitted, table.outlier_p_value.tolist(),
+                table.standardized.tolist(), table.studentized.tolist())
+    for flagged, fit_i, p, r, t in cells:
+        if flagged or not math.isfinite(fit_i):
             continue
-        outlier = math.isfinite(r.outlier_p_value) and r.outlier_p_value <= alpha
-        for y in (r.standardized, r.studentized, r.standardized**2, r.studentized**2):
+        outlier = math.isfinite(p) and p <= alpha
+        for y in (r, t, r**2, t**2):
             if not math.isfinite(y):
                 continue
             if outlier:
@@ -113,7 +116,7 @@ def test_nonfinite_studentized_points_are_skipped():
         ["const", "x1", "x2"],
     )
     table, fitted = make_table([1.0, 2.0, 6.0, 3.0, 4.0, 5.0], design)
-    assert any(not math.isfinite(r.studentized) for r in table.rows)
+    assert not np.isfinite(table.studentized).all()
     doc = emit_residual_plots(table, fitted, alpha=0.05)
     assert "inf" not in doc and "nan" not in doc
     circles, diamonds = expected_point_counts(table, fitted, 0.05)
@@ -178,11 +181,56 @@ def test_flagged_rows_are_skipped_entirely():
         ["const", "only_last"],
     )
     table, fitted = make_table([1.0, 2.0, 3.0, 2.0, 9.0], design)
-    assert table.rows[4].flagged
+    assert table.flagged[4]
     doc = emit_residual_plots(table, fitted)
     circles, diamonds = expected_point_counts(table, fitted, 0.05)
     assert doc.count("<circle") + doc.count("<path") == circles + diamonds
     assert circles + diamonds == 4 * 4
+
+
+def panels(doc):
+    """Each panel's x tick labels, y tick labels and drawn points, in the
+    order standardized, studentized and their squares."""
+    out = []
+    for chunk in doc.split('fill="none" stroke="#333333"')[1:]:
+        x_ticks = re.findall(r'text-anchor="middle" font-size="9">([^<]*)<', chunk)
+        y_ticks = re.findall(r'text-anchor="end" font-size="9">([^<]*)<', chunk)
+        out.append((x_ticks, y_ticks, chunk.count("<circle") + chunk.count("<path")))
+    return out
+
+
+def unit_axis(ticks):
+    return len(ticks) == 10 and (ticks[0], ticks[-1]) == ("-1", "1")
+
+
+def test_all_flagged_rows_draw_four_empty_frames_over_the_unit_range():
+    # no row is kept, so no axis has a finite value to span
+    nan = [math.nan] * 3
+    table = DiagnosticsTable.from_columns(3, 1, (), [1.0] * 3, [0.0] * 3, nan, nan, nan, nan,
+                                          nan, [True] * 3)
+    doc = emit_residual_plots(table, [1.0, 2.0, 3.0], labels=list("abc"))
+    assert [(unit_axis(x), unit_axis(y), points) for x, y, points in panels(doc)] == [
+        (True, True, 0)] * 4
+    assert doc.count("stroke-dasharray") == 4
+    ET.fromstring(doc)
+
+
+def test_infinite_studentized_residuals_leave_their_panels_empty():
+    # row 0 is flagged; every kept row's studentized residual is +-inf, so
+    # the studentized panels have no finite value and span the unit range
+    inf = math.inf
+    table = DiagnosticsTable.from_columns(
+        5, 1, (), [1.0, 0.2, 0.2, 0.2, 0.2], [0.0, 1.0, -0.5, 2.0, -2.5],
+        [math.nan, 0.7, -0.3, 1.4, -1.8], [math.nan, inf, -inf, inf, -inf],
+        [math.nan, 0.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 0.0, 0.0, 0.0],
+        [math.nan, inf, inf, inf, inf], [True, False, False, False, False])
+    doc = emit_residual_plots(table, [1.0, 2.0, 3.0, 4.0, 5.0], alpha=0.05)
+    assert "inf" not in doc and "nan" not in doc
+    drawn = panels(doc)
+    assert [points for _, _, points in drawn] == [4, 0, 4, 0]
+    assert [unit_axis(y) for _, y, _ in drawn] == [False, True, False, True]
+    assert not any(unit_axis(x) for x, _, _ in drawn)
+    ET.fromstring(doc)
 
 
 def test_zero_line_drawn_only_when_range_straddles_zero():
