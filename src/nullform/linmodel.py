@@ -51,8 +51,8 @@ __all__ = [
     "f_geometry",
 ]
 
-# smallest |R_jj| relative to the largest before a column is declared
-# linearly dependent on its predecessors
+# smallest sine of a design column's angle to the span of the columns before
+# it, |R_jj| / ||x_j||, before the column is declared dependent on them
 _RANK_RTOL = 1e-10
 
 # an SSE below the square of 1e-12 * ||y|| cannot be told apart from an
@@ -172,11 +172,10 @@ class NestedFTestResult:
 
 def _qr_with_rank_check(x: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
     q, r = np.linalg.qr(x.data, mode="reduced")
-    diag = np.abs(np.diag(r))
-    threshold = _RANK_RTOL * diag.max()
-    # an all-zero design leaves no |R_jj| below a threshold of 0: it is
-    # deficient at its first column
-    deficient = np.nonzero(diag < threshold if threshold else diag == 0.0)[0]
+    # |R_jj| / ||R[:, j]|| is the sine of column j's angle to the columns
+    # before it, free of units; hypot squares nothing, and a zero column's
+    # norm of 0 fails the same comparison
+    deficient = np.nonzero(~(np.abs(np.diag(r)) > _RANK_RTOL * np.hypot.reduce(r, axis=0)))[0]
     if deficient.size:
         raise RankDeficiencyError(x.labels[int(deficient[0])])
     return q, r
@@ -248,8 +247,8 @@ def _null_laws(n: int, p1: int, p2: int):
 def fit(x: DesignMatrix, y: Sample) -> FitResult:
     """Least-squares fit of y on the design columns via Householder QR.
 
-    Raises a rank-deficiency error naming the first column whose R diagonal
-    falls below 1e-10 of the largest.
+    Raises a rank-deficiency error naming the first column whose sine to the
+    span of the columns before it, |R_jj| / ||x_j||, is not above 1e-10.
     """
     n, p = x.n_rows, x.n_cols
     if p >= n:
@@ -273,8 +272,8 @@ def nested_f_test(spec: NestedSpec, y: Sample) -> NestedFTestResult:
     tail at p2 F_null / (n - p1).
     """
     n, p1, p2 = spec.full.n_rows, spec.p1, spec.p2
-    # X1's R diagonal is the leading part of the full one, under a threshold
-    # at least as strict, so this check also covers the reduced design
+    # X1's column sines are the leading ones of the full design, so this
+    # check is also the reduced design's own
     q, _, yvec, tiny_sse = _qr_and_response(spec.full, y)
     sse1, sse12, ss2given1 = (float(v) for v in _nested_sums(q, p1, yvec))
 

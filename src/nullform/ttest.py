@@ -90,10 +90,11 @@ def _sums_of_squares(y: Sample, mu0: float) -> tuple[float, float, float, float]
     1e-12 Pythagoras tolerance.
 
     A sum that overflows is a DomainError, and so is one that underflows:
-    SSTO < n 2^-1022 with some value != mu0, or SSE < n 2^-1022 with the
-    values not all equal.  Below that bound the squared terms are subnormal
-    and the sums lose their relative precision (at 0 they would pass for
-    degenerate or boundary data).
+    SSTO < n^2 2^-1022 with some value != mu0, or SSE < n^2 2^-1022 with the
+    values not all equal.  Below that bound S0^2/n or S^2/n is subnormal and
+    t0 or t loses its relative precision (at 0 they would pass for degenerate
+    or boundary data).  Squares are products, never `** 2`, which calls libm
+    pow: pow is not correctly rounded, and its last bit moves with 2^k y.
     """
     n = y.n
     lo, hi = min(y.values), max(y.values)
@@ -105,11 +106,11 @@ def _sums_of_squares(y: Sample, mu0: float) -> tuple[float, float, float, float]
             sse = 0.0
         else:
             ybar = math.fsum(y.values) / n
-            sse = math.fsum((v - ybar) ** 2 for v in y.values)
-        ssto = math.fsum((v - mu0) ** 2 for v in y.values)
-        sst = n * (ybar - mu0) ** 2
+            sse = math.fsum((v - ybar) * (v - ybar) for v in y.values)
+        ssto = math.fsum((v - mu0) * (v - mu0) for v in y.values)
+        sst = n * ((ybar - mu0) * (ybar - mu0))
         if max(ssto, sst, sse) < math.inf:
-            tiny = n * sys.float_info.min
+            tiny = n * n * sys.float_info.min
             if sse < tiny and hi != lo or ssto < tiny and not lo == hi == mu0:
                 raise DomainError(
                     "the sums of squares about the mean and mu0 underflow double precision"

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -482,6 +483,39 @@ def test_an_all_zero_predictor_is_rank_deficient(capsys, tmp_path, command):
     captured = capsys.readouterr()
     assert "design matrix is rank deficient at column 'x'" in captured.err
     assert captured.out == ""
+
+
+def test_a_predictor_of_order_1e11_is_tested_as_in_any_other_unit(capsys, tmp_path):
+    # a currency amount: a rank threshold relative to the largest |R_jj| refused
+    # the intercept beside it (exit 4); the sine of each column to the columns
+    # before it does not see the unit, so the scaled copy reads the same
+    rng = random.Random(31)
+    x = [round(rng.uniform(1.0, 5.0) * 1e11, 2) for _ in range(20)]
+    y = [1.5 + 4e-11 * v + rng.gauss(0.0, 1.0) for v in x]
+    y[7] += 6.0
+    reports = []
+    for scale in (1.0, 2.0 ** -37):
+        path = tmp_path / f"amount{scale!r}.csv"
+        path.write_text("y,x\n" + "".join(f"{a!r},{b * scale!r}\n" for a, b in zip(y, x)),
+                        encoding="utf-8")
+        common = ["--input", str(path), "--response", "y"]
+        svg = tmp_path / "amount.svg"
+        reports.append([
+            run_json(capsys, ["ftest", *common, "--intercept", "--full-cols", "x"]),
+            run_json(capsys, ["outliers", *common, "--predictors", "x"]),
+            run_json(capsys, ["plot", *common, "--predictors", "x", "--out", str(svg)]),
+            svg.read_bytes(),
+        ])
+    for report in (*reports[0][:3], *reports[1][:3]):
+        del report["command"], report["input_digest"]
+    # one predictor: F_null = (n - 1) cos^2 of the centred y and x
+    dx = [v - math.fsum(x) / 20 for v in x]
+    dy = [v - math.fsum(y) / 20 for v in y]
+    cos2 = math.fsum(a * b for a, b in zip(dx, dy)) ** 2 / (
+        math.fsum(a * a for a in dx) * math.fsum(b * b for b in dy))
+    assert reports[0][0]["results"]["f_null"] == pytest.approx(19 * cos2, rel=1e-9)
+    assert reports[0][1]["diagnostics"] and reports[0][:3] == reports[1][:3]
+    assert reports[0][3] == reports[1][3]
 
 
 REG_ROWS = [("a", 1.1, 0.2), ("b", 1.8, 1.1), ("c", 3.1, 2.0), ("d", 9.0, 2.9),

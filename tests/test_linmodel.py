@@ -122,6 +122,42 @@ class TestFit:
                 call()
             assert exc.value.column == "x"
 
+    @pytest.mark.parametrize("scale", [1e-11, 1e11])
+    def test_a_predictor_in_any_unit_is_full_rank(self, scale):
+        # each column is judged by its sine to the columns before it, which no
+        # unit changes; a threshold relative to the largest |R_jj| refused
+        # these designs at 'x' (1e-11) and at '1' (1e11)
+        rng = np.random.default_rng(30)
+        x, y = rng.standard_normal(30), Sample.from_iterable(rng.standard_normal(30))
+        res = fit(DesignMatrix(np.column_stack([np.ones(30), scale * x]), ("1", "x")), y)
+        ref = fit(DesignMatrix(np.column_stack([np.ones(30), x]), ("1", "x")), y)
+        assert res.coefficients[1] * scale == pytest.approx(ref.coefficients[1], rel=1e-12)
+        assert res.residuals == pytest.approx(ref.residuals, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("k", [10, 11, 12, 13])
+    def test_a_column_within_a_sine_of_1e_10_of_the_earlier_ones_is_deficient(self, k):
+        # b + 10^k (1 + a) spans what b does, but its sine to span(1, a) is
+        # about 7e-10 / 10^(k-9): the largest-|R_jj| rule accepted it and
+        # returned F off by up to 1e-2 relative
+        rng = np.random.default_rng(4)
+        a, b, y = rng.standard_normal((3, 30))
+        x = DesignMatrix(np.column_stack([np.ones(30), a, b + 10.0 ** k * (1 + a)]),
+                         ("1", "a", "b"))
+        with pytest.raises(RankDeficiencyError) as exc:
+            nested_f_test(NestedSpec(x, 2), Sample.from_iterable(y))
+        assert exc.value.column == "b"
+
+    @pytest.mark.parametrize("k", [6, 7, 8, 9])
+    def test_a_column_above_the_sine_threshold_is_tested(self, k):
+        rng = np.random.default_rng(4)
+        a, b, y = rng.standard_normal((3, 30))
+        shifted = np.column_stack([np.ones(30), a, b + 10.0 ** k * (1 + a)])
+        plain = np.column_stack([np.ones(30), a, b])
+        res, ref = (nested_f_test(NestedSpec(DesignMatrix(x), 2), Sample.from_iterable(y))
+                    for x in (shifted, plain))
+        # the shift costs about u / sine of F's relative accuracy
+        assert res.f_trad == pytest.approx(ref.f_trad, rel=1e-6)
+
     def test_shape_errors(self):
         x = DesignMatrix([[1.0], [1.0]])
         with pytest.raises(DomainError):

@@ -32,13 +32,15 @@ def well_conditioned(values, mu0):
 
     When the spread is a tiny fraction of the data magnitude, rounding in the
     mean alone exceeds the identity tolerances; that is a property of floats,
-    not of the formulas under test.  Data whose squared distance from mu0
-    underflows are a DomainError (test_linmodel), not a sample to test.
+    not of the formulas under test.  Data whose sums of squares about the
+    mean or mu0 underflow (below n^2 2^-1022) are a DomainError
+    (test_linmodel), not a sample to test.
     """
     scale = max(max(abs(v) for v in values), abs(mu0), 1e-12)
     spread = max(values) - min(values)
     offset = max(abs(v - mu0) for v in values)
-    return (spread == 0.0 or spread >= 1e-4 * scale) and (offset == 0.0 or offset >= 1e-150)
+    return ((spread == 0.0 or spread >= max(1e-4 * scale, 1e-150))
+            and (offset == 0.0 or offset >= 1e-150))
 
 
 class TestWorkedExample:
