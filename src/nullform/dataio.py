@@ -9,20 +9,27 @@ dropping those would bias the case being studied.  A UTF-8 byte order mark
 is not part of the first header name.
 
 Records end only at \\n, \\r\\n and \\r (not at U+2028 or the other breaks
-of str.splitlines()), and empty lines are skipped.  The cells are split by
-one of two routes, chosen from the decoded text alone.  A text with no `"`
-whose non-blank lines all hold the first line's number of delimiters, none
-longer than the csv field size limit, is joined and split once on the
-delimiter, and column j is the slice flat[j::width]; the csv module would
-split it the same way.  Any other text, quoted or ragged, goes through
-csv.reader, which keeps a line break inside a quoted cell in it; a
+of str.splitlines()), and empty lines are skipped.  The file's bytes are
+hashed, decoded and dropped, and the first row resolves the columns before
+any data row is parsed.  The cells are split by one of two routes.  A text
+with no `"` is read in blocks of whole lines of about `_BLOCK_CHARS`
+characters: when each of a block's non-blank lines holds the first line's
+number of delimiters and none is longer than the csv field size limit, the
+block is joined and split once on the delimiter, only the kept columns and
+the label column are sliced from it (column j is flat[j::width]), and its
+other cells are freed with it; the csv module would split it the same way.
+So ingest holds the text, the parsed columns and one block's cells: about 4
+times the file's bytes on a tall numeric file, where the whole text's cells
+took about 9.  A text with a `"`, or any block that fails a check, or a first
+row that does not resolve, goes whole through csv.reader, which keeps a line
+break inside a quoted cell in it and gives every error its message; a
 malformed or over-long field there is a DataError.
 
-Parsing is column-wise: each kept column is converted with one float() pass
-and screened with one plain sum; only a column that fails the screen is
-parsed cell by cell, and its unusable cells drop their rows.  The two passes
-accept the same cells, because float() succeeds only where the stripped cell
-parses.
+Parsing is column-wise, block by block: each kept column of a block is
+converted with one float() pass and screened with one plain sum; only a
+column that fails the screen is parsed cell by cell, and its unusable cells
+drop their rows.  The two passes accept the same cells, because float()
+succeeds only where the stripped cell parses.
 """
 
 from __future__ import annotations
@@ -31,15 +38,23 @@ import csv
 import hashlib
 import io
 import math
+import re
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import and_
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DataError
 
 __all__ = ["Dataset", "ingest_csv", "file_digest"]
+
+# the characters of text in one block of the split route: a block's lines
+# and cells are the only ones held at a time
+_BLOCK_CHARS = 1 << 18
+# a line end, \r\n taken whole, and a non-blank line
+_LINE_END = re.compile(r"\r\n?|\n")
+_LINE = re.compile(r"[^\r\n]+")
 
 
 @dataclass(frozen=True)
@@ -95,55 +110,175 @@ def _parse_column(cells: Sequence[str]) -> tuple[list, list[bool] | None]:
     return values, [v is not None for v in values]
 
 
-def _records(text: str) -> list[str]:
-    """The lines of `text`, broken only at \\n, \\r\\n and \\r.
+def _split_block(block: str, delimiter: str, count: int) -> list[str] | None:
+    """The cells of the non-blank lines of `block`, row after row, or None
+    when a line does not hold `count` delimiters or is longer than the csv
+    field size limit.
 
-    str.splitlines() also breaks at U+2028, U+0085, form feeds and the other
-    Unicode line boundaries, which would split a row inside a cell.  As with
-    splitlines(), a final line break ends the last line and starts no other.
+    Lines end only at \\n, \\r\\n and \\r: str.splitlines() also breaks at
+    U+2028, U+0085, form feeds and the other Unicode line boundaries, which
+    would split a row inside a cell.
     """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
+    if "\r" in block:
+        block = block.replace("\r\n", "\n").replace("\r", "\n")
+    lines = list(filter(None, block.split("\n")))
+    if not lines:
+        return []
+    if (max(map(len, lines)) > csv.field_size_limit()
+            or set(map(str.count, lines, repeat(delimiter))) != {count}):
+        return None
+    return delimiter.join(lines).split(delimiter)
+
+
+class _Columns:
+    """The kept columns of a table's data rows, parsed block by block.
+
+    Made from the table's first row, whose names it resolves against the
+    requested columns, raising DataError as `ingest_csv` documents.  `add`
+    parses the kept columns and the label column of a block of data rows;
+    `dataset` drops the unusable rows and applies the log transforms.
+    """
+
+    def __init__(self, first: Sequence[str], path: Path, header: bool,
+                 columns: Sequence[str | int], log_columns: Sequence[str],
+                 label_column: str | None):
+        if header:
+            names = [name.strip() for name in first]
+            if len(set(names)) < len(names):
+                raise DataError(f"duplicate column names in the header of {path}: {names}")
+        else:
+            names = [f"col{i}" for i in range(len(first))]
+
+        if label_column is not None and label_column not in names:
+            raise DataError(f"label column {label_column!r} not found in {names}")
+        numeric = [n for n in names if n != label_column]
+        for c in columns:
+            if isinstance(c, int) and not 0 <= c < len(numeric):
+                raise DataError(f"no column at position {c} among {numeric}")
+        keep = list(dict.fromkeys(numeric[c] if isinstance(c, int) else c for c in columns))
+        keep = keep or numeric
+        for name in keep:
+            if name not in names:
+                raise DataError(f"requested column {name!r} not found in {names}")
+        log_columns = tuple(dict.fromkeys(log_columns))
+        for name in log_columns:
+            if name not in keep:
+                raise DataError(
+                    f"log-transform column {name!r} is not among the ingested columns {keep}"
+                )
+        self.path = path
+        self.log_columns = log_columns
+        # each kept column's position in a row, and its values so far
+        self.index = {name: names.index(name) for name in keep}
+        self.values: dict[str, list] = {name: [] for name in keep}
+        self.label = None if label_column is None else names.index(label_column)
+        self.labels: list[str] = []
+        # the usable rows so far, or None while every row is
+        self.mask: list[bool] | None = None
+        self.rows = 0
+
+    def add(self, column: Callable[[int], Sequence[str]], rows: int) -> None:
+        """Parse the kept cells of `rows` data rows, column j's from column(j)."""
+        mask = None
+        for name, values in self.values.items():
+            parsed, usable = _parse_column(column(self.index[name]))
+            values.extend(parsed)
+            if usable is not None:
+                mask = usable if mask is None else list(map(and_, mask, usable))
+        if mask is not None and self.mask is None:
+            self.mask = [True] * self.rows
+        if self.mask is not None:
+            self.mask.extend(repeat(True, rows) if mask is None else mask)
+        if self.label is not None:
+            self.labels.extend(map(str.strip, column(self.label)))
+        self.rows += rows
+
+    def dataset(self, n_data: int, row_numbers: Sequence[int], digest: str) -> Dataset:
+        """The Dataset of the rows added, whose numbers are row_numbers, out
+        of n_data data rows."""
+        mask = self.mask
+
+        def kept(seq: Sequence) -> Sequence:
+            return seq if mask is None else list(compress(seq, mask))
+
+        n_rows = self.rows if mask is None else sum(mask)
+        if not n_rows:
+            raise DataError(f"{self.path} has no usable data rows")
+        keep = list(self.values)
+        table = [kept(self.values[name]) for name in keep]
+        for name in self.log_columns:
+            j = keep.index(name)
+            bad = next((i for i, v in enumerate(table[j]) if v <= 0.0), None)
+            if bad is not None:
+                raise DataError(
+                    f"cannot log-transform non-positive value {table[j][bad]!r} "
+                    f"at row {kept(row_numbers)[bad]}, column {name!r}"
+                )
+            table[j] = list(map(math.log, table[j]))
+
+        return Dataset(
+            column_names=tuple(keep),
+            columns=tuple(map(tuple, table)),
+            source=str(self.path),
+            n_rows=n_rows,
+            dropped_rows=n_data - n_rows,
+            digest=digest,
+            row_labels=None if self.label is None else tuple(kept(self.labels)),
+        )
 
 
 def _split_table(
-    lines: list[str], delimiter: str, header: bool
-) -> tuple[list[str], int, list[list[str]], range] | None:
-    """First row, data-row count, columns and row numbers, from one split.
+    text: str, delimiter: str, header: bool, resolve: Callable[[list[str]], _Columns]
+) -> tuple[_Columns, int, range] | None:
+    """The parsed columns, data-row count and row numbers, block by block.
 
     For a text without a quote character the csv module splits each line at
     every delimiter, so when every non-blank line holds the first line's
-    number of delimiters, one split of the joined lines gives every cell and
-    column j is the slice flat[j::width].  Any other text, or a line longer
-    than the csv field size limit (whose error the csv route reports), gives
-    None.  The caller checks for quotes.
+    number of delimiters, one split of a block's joined lines gives its
+    cells, and column j is the slice flat[j::width].  Only the kept columns
+    are sliced, and a block's cells are dropped before the next is split.
+    A block with any other line, or a line longer than the csv field size
+    limit (whose error the csv route reports), or a first row that does not
+    resolve, gives None.  The caller checks for quotes.
     """
-    records = list(filter(None, lines))
-    if not records or max(map(len, records)) > csv.field_size_limit():
+    first = _LINE.search(text)
+    if first is None:
         return None
-    count = records[0].count(delimiter)
-    if set(map(str.count, records, repeat(delimiter))) != {count}:
-        return None
+    count = first.group().count(delimiter)
     width = count + 1
-    flat = delimiter.join(records).split(delimiter)
-    start = width if header else 0
-    n_data = (len(flat) - start) // width
-    columns = [flat[start + j::width] for j in range(width)]
-    return flat[:width], n_data, columns, range(1, n_data + 1)
+    try:
+        table = resolve(first.group().split(delimiter))
+    except DataError:
+        return None
+    start = width if header else 0  # the header's cells, in the first block
+    at = 0
+    while at < len(text):
+        # the block runs to the first line end at or past _BLOCK_CHARS
+        end = _LINE_END.search(text, at + _BLOCK_CHARS - 1)
+        stop = end.end() if end else len(text)
+        flat = _split_block(text[at:stop], delimiter, count)
+        at = stop
+        if flat is None:
+            return None
+        if flat:
+            rows = (len(flat) - start) // width
+            if rows:
+                table.add(lambda j: flat[start + j::width], rows)
+            start = 0
+        del flat  # before the next block is split
+    return table, table.rows, range(1, table.rows + 1)
 
 
 def _csv_table(
-    text: str, delimiter: str, header: bool, path: Path
-) -> tuple[list[str], int, list[tuple[str, ...]], list[int]]:
-    """First row, data-row count, columns and row numbers, by the csv module.
+    text: str, delimiter: str, header: bool, path: Path,
+    resolve: Callable[[list[str]], _Columns],
+) -> tuple[_Columns, int, list[int]]:
+    """The parsed columns, data-row count and row numbers, by the csv module.
 
-    This route reads ragged rows and quoted cells, a line break inside one
-    kept.  The columns and row numbers cover the data rows at least as long
-    as the first row; a malformed or over-long field is a DataError.
+    This route reads the whole text, ragged rows and quoted cells, a line
+    break inside one kept, and parses it as one block.  The columns and row
+    numbers cover the data rows at least as long as the first row; a
+    malformed or over-long field is a DataError.
     """
     try:
         reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
@@ -152,11 +287,14 @@ def _csv_table(
         raise DataError(f"cannot parse {path}: {exc}") from exc
     if not rows:
         raise DataError(f"{path} contains no rows")
+    table = resolve(rows[0])
     data_rows = rows[1:] if header else rows
     width = len(rows[0])
     full_rows = [row for row in data_rows if len(row) >= width]
     row_numbers = [k for k, row in enumerate(data_rows, start=1) if len(row) >= width]
-    return rows[0], len(data_rows), list(zip(*full_rows)), row_numbers
+    if full_rows:
+        table.add(list(zip(*full_rows)).__getitem__, len(full_rows))
+    return table, len(data_rows), row_numbers
 
 
 def ingest_csv(
@@ -189,75 +327,16 @@ def ingest_csv(
         text = data.decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    digest = hashlib.sha256(data).hexdigest()
+    del data
 
-    split = None if '"' in text else _split_table(_records(text), delimiter, header)
-    first, n_data, cells, row_numbers = split or _csv_table(text, delimiter, header, path)
+    def resolve(first: list[str]) -> _Columns:
+        return _Columns(first, path, header, columns, log_columns, label_column)
 
-    if header:
-        names = [name.strip() for name in first]
-        if len(set(names)) < len(names):
-            raise DataError(f"duplicate column names in the header of {path}: {names}")
-    else:
-        names = [f"col{i}" for i in range(len(first))]
-
-    if label_column is not None and label_column not in names:
-        raise DataError(f"label column {label_column!r} not found in {names}")
-    numeric = [n for n in names if n != label_column]
-    for c in columns:
-        if isinstance(c, int) and not 0 <= c < len(numeric):
-            raise DataError(f"no column at position {c} among {numeric}")
-    keep = list(dict.fromkeys(numeric[c] if isinstance(c, int) else c for c in columns))
-    keep = keep or numeric
-    for name in keep:
-        if name not in names:
-            raise DataError(f"requested column {name!r} not found in {names}")
-    log_columns = tuple(dict.fromkeys(log_columns))
-    for name in log_columns:
-        if name not in keep:
-            raise DataError(
-                f"log-transform column {name!r} is not among the ingested columns {keep}"
-            )
-    if not row_numbers:
-        raise DataError(f"{path} has no usable data rows")
-
-    parsed: dict[str, list] = {}
-    mask: list[bool] | None = None
-    for name in keep:
-        if name not in parsed:
-            parsed[name], usable = _parse_column(cells[names.index(name)])
-            if usable is not None:
-                mask = usable if mask is None else list(map(and_, mask, usable))
-
-    def kept(seq) -> list:
-        return list(seq) if mask is None else list(compress(seq, mask))
-
-    n_rows = len(row_numbers) if mask is None else sum(mask)
-    if not n_rows:
-        raise DataError(f"{path} has no usable data rows")
-    table = [kept(parsed[name]) for name in keep]
-    for name in log_columns:
-        j = keep.index(name)
-        bad = next((i for i, v in enumerate(table[j]) if v <= 0.0), None)
-        if bad is not None:
-            raise DataError(
-                f"cannot log-transform non-positive value {table[j][bad]!r} "
-                f"at row {kept(row_numbers)[bad]}, column {name!r}"
-            )
-        table[j] = list(map(math.log, table[j]))
-
-    labels = None
-    if label_column is not None:
-        labels = tuple(kept(map(str.strip, cells[names.index(label_column)])))
-
-    return Dataset(
-        column_names=tuple(keep),
-        columns=tuple(map(tuple, table)),
-        source=str(path),
-        n_rows=n_rows,
-        dropped_rows=n_data - n_rows,
-        digest=hashlib.sha256(data).hexdigest(),
-        row_labels=labels,
-    )
+    split = None if '"' in text else _split_table(text, delimiter, header, resolve)
+    table, n_data, row_numbers = split or _csv_table(text, delimiter, header, path, resolve)
+    del text
+    return table.dataset(n_data, row_numbers, digest)
 
 
 def file_digest(path: str | Path) -> str:

@@ -16,26 +16,29 @@ of any other cell.  Results are therefore bit-identical no matter how
 replicates are partitioned across workers, and two scenarios never share
 draws (they live in different domains).  The generator works through blocks
 of 2^16 cells and mixes each block in place, in buffers kept between draws
-in one workspace: for each of up to four workers, a block of cell keys, four
-blocks of polar scratch, a pool of half a block of rejects (keys, positions
-and values) and, once a normal draw has used them, two pending blocks, 8.5
-blocks of 8-byte words (4.25 MiB); and one table of (i + 1) * STREAM_SALT,
-as long as the longest block drawn (at most 0.5 MiB), to which a block's
-cell keys are one add.  So it holds at most 17.5 MiB for any CPU count.  One
-draw uses the workspace at a time; a concurrent draw makes its own and drops
-it, and a draw on more than four CPUs does so for the workers past the
-fourth.  A normal draw's first polar attempt runs over a whole block,
-written to a pending block; each worker moves the cells it rejects to its
-pool, and the retry rounds run over that pool when it is full, when no
-pending block is free, and once after the worker's last block, which makes
-the pending blocks final: they are then copied out or reduced.  The blocks
-of a draw are spread over one thread per CPU in the process's affinity mask,
-at most one per block; there is no option, `taskset` limits it, and the
-results are bit-identical for any number of workers.  The proportion
-scenario counts successes one block of replicates at a time, comparing each
-raw word with the integer threshold below which its uniform falls under p,
-and tallies its rates from the histogram of success counts, with both z
-forms evaluated by `proportion._z_forms` once per count that occurs.
+in one workspace from a process's second draw on; the first draw's buffers
+are sized to its blocks and dropped with it, so a process that draws once,
+as a CLI command does, keeps none.  The kept workspace holds, for each of up
+to four workers, a block of cell keys, four blocks of polar scratch, a pool
+of half a block of rejects (keys, positions and values) and, once a normal
+draw has used them, two pending blocks, 8.5 blocks of 8-byte words (4.25
+MiB); and one table of (i + 1) * STREAM_SALT, as long as the longest block
+drawn (at most 0.5 MiB), to which a block's cell keys are one add.  So it
+holds at most 17.5 MiB for any CPU count.  One draw uses the workspace at a
+time; a concurrent draw makes its own, sized to its blocks, and drops it,
+and a draw on more than four CPUs does so for the workers past the fourth.
+A normal draw's first polar attempt runs over a whole block, written to a
+pending block; each worker moves the cells it rejects to its pool, and the
+retry rounds run over that pool when it is full, when no pending block is
+free, and once after the worker's last block, which makes the pending blocks
+final: they are then copied out or reduced.  The blocks of a draw are spread
+over one thread per CPU in the process's affinity mask, at most one per
+block; there is no option, `taskset` limits it, and the results are
+bit-identical for any number of workers.  The proportion scenario counts
+successes one block of replicates at a time, comparing each raw word with
+the integer threshold below which its uniform falls under p, and tallies its
+rates from the histogram of success counts, with both z forms evaluated by
+`proportion._z_forms` once per count that occurs.
 
 Scenario domains: 1 = response noise, 2 = design entries, 3 = Bernoulli
 trials.
@@ -250,26 +253,33 @@ class _Workspace:
         return self.table
 
 
-# the workspace kept between draws, and the lock held by the draw using it
+# the workspace kept between draws, whether the process has drawn before, and
+# the lock held by the draw using them
 _kept: _Workspace | None = None
+_drawn = False
 _kept_lock = threading.Lock()
 
 
 @contextmanager
-def _workspace(block: int = 0) -> Iterator[_Workspace]:
-    """The workspace of one draw whose blocks hold up to max(block,
-    `_BLOCK_CELLS`) cells.
+def _workspace(block: int) -> Iterator[_Workspace]:
+    """The workspace of one draw whose blocks hold up to `block` cells.
 
-    That is the kept workspace, made by the first draw with the block and
-    pool sizes of that time.  A draw that finds it in use by another thread,
-    or whose blocks are larger than `_BLOCK_CELLS`, gets a workspace of its
-    own, dropped on return.
+    From the process's second draw on, that is the kept workspace, made with
+    the block and pool sizes of that time.  The process's first draw, a draw
+    that finds the kept workspace in use by another thread, and a draw whose
+    blocks are larger than `_BLOCK_CELLS` get a workspace of their own, sized
+    to their blocks and dropped on return: a process that draws once keeps
+    no buffers past it, and a small first draw makes no full-size ones.
     """
-    global _kept
+    global _kept, _drawn
     if block > _BLOCK_CELLS or not _kept_lock.acquire(blocking=False):
-        yield _Workspace(max(block, _BLOCK_CELLS))
+        yield _Workspace(block)
         return
     try:
+        if not _drawn:
+            _drawn = True
+            yield _Workspace(block)
+            return
         if _kept is None:
             _kept = _Workspace(_BLOCK_CELLS)
         yield _kept
@@ -319,8 +329,9 @@ def uniform_cells(seed: int, domain: int, start: int, count: int) -> np.ndarray:
     out = np.empty(count)
     domain_key = _domain_key(seed, domain)
 
-    with _workspace() as workspace:
-        table = workspace.key_table(min(count, _BLOCK_CELLS))
+    size = min(count, _BLOCK_CELLS)
+    with _workspace(size) as workspace:
+        table = workspace.key_table(size)
 
         def work(share: range, buffers: _WorkerBuffers) -> None:
             tmp = buffers.polar[1]
@@ -356,8 +367,9 @@ def normal_cells(seed: int, domain: int, start: int, count: int,
     domain_key = _domain_key(seed, domain)
     cells = reduce.cells
 
-    with _workspace(cells) as workspace:
-        table = workspace.key_table(min(count, cells))
+    size = min(count, cells)
+    with _workspace(size) as workspace:
+        table = workspace.key_table(size)
         slots = range(0, _PENDING_BLOCKS * cells, cells)
 
         def work(share: range, buffers: _WorkerBuffers) -> None:
@@ -500,8 +512,9 @@ def _trial_successes(seed: int, replicates: int, n: int, p: float) -> np.ndarray
     ones = np.ones(width, np.float32)
     successes = np.zeros(replicates, np.int64)
 
-    with _workspace() as workspace:
-        table = workspace.key_table(min(rows, replicates) * width)
+    size = min(rows, replicates) * width
+    with _workspace(size) as workspace:
+        table = workspace.key_table(size)
 
         def work(share: range, buffers: _WorkerBuffers) -> None:
             tmp = buffers.polar[1]

@@ -15,9 +15,9 @@ The plot reads the diagnostics table's columns.  Each panel maps its x and y
 columns to pixels with `_Panel.px`/`py` over whole arrays, and formats all its
 points with one `%` over a template joined in row order: `_CIRCLE` for a plain
 point, `_DIAMOND` and the escaped label, with `%` doubled, for an outlier.
-The F panels square with CPython's `v ** 2`, which calls libm `pow`; `v * v`
-and `np.square` differ from it in the last bit on some doubles, which could
-move a pixel's last digit.
+The F panels square with products, `v * v`, correctly rounded on every
+platform: CPython's `v ** 2` calls libm `pow`, whose last bit, and so a
+pixel's last digit, would depend on the C library.
 """
 
 from __future__ import annotations
@@ -78,9 +78,10 @@ def _axis_range(values: np.ndarray) -> tuple[float, float]:
 
 
 def _squares(values: np.ndarray) -> np.ndarray:
-    # CPython's v ** 2 calls libm pow, whose last bit differs from v * v and
-    # np.square on some doubles
-    return np.array([v ** 2 for v in values.tolist()])
+    # products, not libm pow (see the module docstring); a square past the
+    # float range is inf, and its point is not drawn
+    with np.errstate(over="ignore"):
+        return values * values
 
 
 class _Panel:

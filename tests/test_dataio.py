@@ -5,11 +5,13 @@ import hashlib
 import io
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from nullform import dataio
 from nullform.dataio import Dataset, file_digest, ingest_csv
 from nullform.errors import DataError
 
@@ -414,3 +416,122 @@ def test_split_and_csv_routes_agree_on_a_tall_file(tmp_path, monkeypatch):
     assert readers
     assert split["n_rows"] == 19_999 and split["dropped_rows"] == 1
     assert split == by_csv
+
+
+# the field size limit while the block cases are read, so that an over-long
+# line or field costs a few dozen characters
+FIELD_LIMIT = 40
+
+
+@pytest.fixture
+def small_field_limit():
+    limit = csv.field_size_limit(FIELD_LIMIT)
+    yield
+    csv.field_size_limit(limit)
+
+
+@st.composite
+def block_cases(draw):
+    """A CSV text without quotes, and ingest options.
+
+    A label column and one to three numeric columns; lines end in \\n or
+    \\r\\n; blank lines fall anywhere, the first line too; one row may be
+    ragged, longer than the field size limit in its line or in one field, or
+    hold a non-numeric or non-positive cell, anywhere in the file, a
+    header-only file included.
+    """
+    width = draw(st.integers(1, 3))
+    names = ["label", *NAMES[:width]]
+    header = draw(st.booleans())
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    cell = st.sampled_from(["1", "2.5", "0.125", " 7 ", "3e2", "12.75"])
+    rows = [[f"r{i}", *(draw(cell) for _ in range(width))]
+            for i in range(draw(st.integers(0, 12)))]
+    odd = draw(st.sampled_from([None, "short", "wide", "long line", "long field",
+                                "non-numeric", "non-positive"]))
+    if odd is not None:
+        row = ["odd", *("1" for _ in range(width))]
+        if odd == "short":
+            row.pop()
+        elif odd == "wide":
+            row.append("1")
+        elif odd == "long line":
+            row[1:] = ["1." + "0" * 30] * width
+            row.append("1")
+        elif odd == "long field":
+            row[1] = "1." + "0" * FIELD_LIMIT
+        else:
+            row[draw(st.integers(1, width))] = "x" if odd == "non-numeric" else "-1"
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    lines = [""] * draw(st.integers(0, 1)) + ([",".join(names)] if header else [])
+    for row in rows:
+        lines += [""] * draw(st.integers(0, 1)) + [",".join(row)]
+    col_names = names if header else [f"col{i}" for i in range(width + 1)]
+    numeric = col_names[1:]
+    columns = draw(st.lists(st.sampled_from(numeric), max_size=width, unique=True))
+    logs = draw(st.lists(st.sampled_from(columns or numeric), max_size=1))
+    return eol.join(lines) + eol * draw(st.integers(0, 2)), dict(
+        header=header, columns=tuple(columns), log_columns=tuple(logs),
+        label_column=col_names[0])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=block_cases())
+def test_block_size_changes_no_outcome(tmp_path, monkeypatch, small_field_limit, case):
+    # blocks of one character hold one line end at most, so every line is a
+    # block of its own and every check runs past the first block
+    text, kwargs = case
+    path = tmp_path / "case.csv"
+    path.write_bytes(text.encode("utf-8"))
+    whole = _outcome(ingest_csv, path, kwargs)
+    default = dataio._BLOCK_CHARS
+    for size in (1, 7, 64):
+        monkeypatch.setattr(dataio, "_BLOCK_CHARS", size)
+        assert _outcome(ingest_csv, path, kwargs) == whole
+    monkeypatch.setattr(dataio, "_BLOCK_CHARS", default)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+def test_blocks_report_rows_past_the_first_block(tmp_path, monkeypatch, eol):
+    lines = ["label,y,x"] + [f"r{i},{i},{i + 0.5}" for i in range(1, 101)]
+    lines[40] = "r40,40,abc"  # drops data row 40
+    lines[70] = "r70,-70,70.5"
+    path = tmp_path / "rows.csv"
+    path.write_bytes((eol.join(lines) + eol).encode("utf-8"))
+    monkeypatch.setattr(dataio, "_BLOCK_CHARS", 64)
+    readers = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda *a, **kw: readers.append(a) or reader(*a, **kw))
+    with pytest.raises(DataError, match=r"value -70.0 at row 70, column 'y'"):
+        ingest_csv(path, label_column="label", log_columns=("y",))
+    ds = ingest_csv(path, label_column="label", columns=("x",))
+    assert ds.n_rows == 99 and ds.dropped_rows == 1
+    assert ds.row_labels[39:41] == ("r41", "r42")
+    assert not readers  # every block took the split route
+    lines[90] = "r90,90"
+    path.write_bytes((eol.join(lines) + eol).encode("utf-8"))
+    ds = ingest_csv(path, label_column="label", columns=("x",))
+    assert readers  # a ragged line in a later block sends the text to csv.reader
+    assert ds.n_rows == 98 and ds.dropped_rows == 2
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_ingest_peaks_below_five_times_the_file(tmp_path, eol):
+    # the whole text's lines and cells took about 9 times the file; one
+    # block of them at a time, the text and the parsed columns take about 4
+    rng = random.Random(7)
+    lines = ["label,y,x1,x2,x3"]
+    for i in range(20_000):
+        lines.append(f"obs{i:05d}," + ",".join(repr(rng.gauss(0.0, 1.0)) for _ in range(4)))
+    path = tmp_path / "tall.csv"
+    path.write_bytes((eol.join(lines) + eol).encode("utf-8"))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        ds = ingest_csv(path, label_column="label")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n_rows == 20_000 and len(ds.column_names) == 4
+    assert peak <= 5 * size

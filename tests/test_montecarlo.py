@@ -51,8 +51,10 @@ from nullform.specfun import (
 @pytest.fixture(autouse=True)
 def fresh_workspace(monkeypatch):
     # each test draws in a workspace of its own, made with the block and pool
-    # sizes of its first draw and dropped when the test ends
+    # sizes of its first draw and dropped when the test ends; the process has
+    # drawn before, so that first draw keeps it
     monkeypatch.setattr(montecarlo, "_kept", None)
+    monkeypatch.setattr(montecarlo, "_drawn", True)
 
 
 # the generator helpers write into buffers their callers own; these give
@@ -413,6 +415,30 @@ class TestWorkers:
                                      for array in (buffers.keys, *buffers.polar,
                                                    *buffers.pool, buffers.pending))]
         assert sum(array.nbytes for array in arrays) <= kept * 9 * (8 * _BLOCK_CELLS)
+
+    def test_a_process_keeps_the_workspace_from_its_second_draw_on(self, monkeypatch):
+        # a process that draws once, as a CLI command does, keeps no buffers,
+        # and a small first draw makes no block-sized ones
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_drawn", False)
+        tracemalloc.start()
+        try:
+            normal_cells(9, 2, 0, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _BLOCK_CELLS
+        assert montecarlo._kept is None
+        monkeypatch.setattr(montecarlo, "_drawn", False)
+        count = 2 * _BLOCK_CELLS + 3
+        first = normal_cells(9, 1, 0, count)
+        assert montecarlo._kept is None
+        assert normal_cells(9, 1, 0, count).tobytes() == first.tobytes()
+        kept = montecarlo._kept
+        assert kept is not None and len(kept.workers) == 2
+        normal_cells(9, 1, 0, count)
+        assert montecarlo._kept is kept
+        assert first.tobytes() == normals_of(cell_keys(_domain_key(9, 1), 0, count)).tobytes()
 
     def test_second_draw_allocates_only_its_output(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)

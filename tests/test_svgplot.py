@@ -20,7 +20,7 @@ from nullform.diagnostics import DiagnosticsRow, DiagnosticsTable, residual_diag
 from nullform.errors import DomainError
 from nullform.linmodel import DesignMatrix, fit
 from nullform.sample import Sample
-from nullform.svgplot import emit_residual_plots, escape
+from nullform.svgplot import _squares, emit_residual_plots, escape
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -231,6 +231,16 @@ def test_infinite_studentized_residuals_leave_their_panels_empty():
     assert [unit_axis(y) for _, y, _ in drawn] == [False, True, False, True]
     assert not any(unit_axis(x) for x, _, _ in drawn)
     ET.fromstring(doc)
+
+
+def test_squares_are_products_bit_for_bit():
+    # the F panels' points must not depend on the C library's pow, whose last
+    # bit differs from the correctly rounded product on some doubles
+    v = np.random.default_rng(5).standard_normal(200_000) * 10.0
+    pow_differs = np.array([x ** 2 != x * x for x in v.tolist()])
+    v = np.concatenate([v[pow_differs], v[:1000], [0.0, -0.0, 1e-200, 1e200, np.inf, np.nan]])
+    with np.errstate(over="ignore"):
+        assert _squares(v).tobytes() == (v * v).tobytes()
 
 
 def test_zero_line_drawn_only_when_range_straddles_zero():
