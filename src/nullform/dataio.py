@@ -21,9 +21,12 @@ other cells are freed with it; the csv module would split it the same way.
 So ingest holds the text, the parsed columns and one block's cells: about 4
 times the file's bytes on a tall numeric file, where the whole text's cells
 took about 9.  A text with a `"`, or any block that fails a check, or a first
-row that does not resolve, goes whole through csv.reader, which keeps a line
-break inside a quoted cell in it and gives every error its message; a
-malformed or over-long field there is a DataError.
+row that does not resolve, goes through csv.reader instead, which keeps a
+line break inside a quoted cell in it and gives every error its message; it
+reads the text's records, with their line ends, and parses its rows in
+blocks of `_CSV_ROWS`, about 4 times the file's bytes too, where the whole
+text's rows took about 13.  A malformed or over-long field there is a
+DataError, raised before a column that does not resolve.
 
 Parsing is column-wise, block by block: each kept column of a block is
 converted with one float() pass and screened with one plain sum; only a
@@ -36,11 +39,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import math
 import re
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import and_
 from pathlib import Path
 from typing import Callable, Sequence
@@ -52,9 +54,12 @@ __all__ = ["Dataset", "ingest_csv", "file_digest"]
 # the characters of text in one block of the split route: a block's lines
 # and cells are the only ones held at a time
 _BLOCK_CHARS = 1 << 18
-# a line end, \r\n taken whole, and a non-blank line
+# the non-blank rows the csv route reads and parses at a time
+_CSV_ROWS = 1 << 10
+# a line end, \r\n taken whole, a non-blank line, and a record with its end
 _LINE_END = re.compile(r"\r\n?|\n")
 _LINE = re.compile(r"[^\r\n]+")
+_RECORD = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
 @dataclass(frozen=True)
@@ -275,26 +280,40 @@ def _csv_table(
 ) -> tuple[_Columns, int, list[int]]:
     """The parsed columns, data-row count and row numbers, by the csv module.
 
-    This route reads the whole text, ragged rows and quoted cells, a line
-    break inside one kept, and parses it as one block.  The columns and row
-    numbers cover the data rows at least as long as the first row; a
-    malformed or over-long field is a DataError.
+    This route reads ragged rows and quoted cells, a line break inside one
+    kept, `_CSV_ROWS` non-blank rows at a time, each block parsed before the
+    next is read.  The columns and row numbers cover the data rows at least
+    as long as the first row.  A malformed or over-long field anywhere is a
+    DataError, raised before any error of the first row's resolution.
     """
+    # csv.reader takes the text's records with their line ends, which is how
+    # it reads a file opened with newline=""
+    rows = filter(None, csv.reader(map(re.Match.group, _RECORD.finditer(text)),
+                                   delimiter=delimiter))
     try:
-        reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
-        rows = [row for row in reader if row]
+        first = next(rows, None)
+        if first is None:
+            raise DataError(f"{path} contains no rows")
+        try:
+            table = resolve(first)
+        except DataError:
+            for _ in rows:  # a csv error in a later row comes first
+                pass
+            raise
+        width = len(first)
+        data_rows = rows if header else chain([first], rows)
+        n_data, row_numbers = 0, []
+        while block := list(islice(data_rows, _CSV_ROWS)):
+            full = [row for row in block if len(row) >= width]
+            row_numbers += (k for k, row in enumerate(block, start=n_data + 1)
+                            if len(row) >= width)
+            n_data += len(block)
+            if full:
+                table.add(list(zip(*full)).__getitem__, len(full))
+            del block, full  # before the next block is read
     except csv.Error as exc:
         raise DataError(f"cannot parse {path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path} contains no rows")
-    table = resolve(rows[0])
-    data_rows = rows[1:] if header else rows
-    width = len(rows[0])
-    full_rows = [row for row in data_rows if len(row) >= width]
-    row_numbers = [k for k, row in enumerate(data_rows, start=1) if len(row) >= width]
-    if full_rows:
-        table.add(list(zip(*full_rows)).__getitem__, len(full_rows))
-    return table, len(data_rows), row_numbers
+    return table, n_data, row_numbers
 
 
 def ingest_csv(

@@ -18,15 +18,16 @@ draws (they live in different domains).  The generator works through blocks
 of 2^16 cells and mixes each block in place, in buffers kept between draws
 in one workspace from a process's second draw on; the first draw's buffers
 are sized to its blocks and dropped with it, so a process that draws once,
-as a CLI command does, keeps none.  The kept workspace holds, for each of up
-to four workers, a block of cell keys, four blocks of polar scratch, a pool
-of half a block of rejects (keys, positions and values) and, once a normal
-draw has used them, two pending blocks, 8.5 blocks of 8-byte words (4.25
-MiB); and one table of (i + 1) * STREAM_SALT, as long as the longest block
-drawn (at most 0.5 MiB), to which a block's cell keys are one add.  So it
-holds at most 17.5 MiB for any CPU count.  One draw uses the workspace at a
-time; a concurrent draw makes its own, sized to its blocks, and drops it,
-and a draw on more than four CPUs does so for the workers past the fourth.
+as a CLI command does, keeps none.  A workspace is whole when it is made:
+the kept one holds one table of (i + 1) * STREAM_SALT for a block (0.5
+MiB), to which a block's cell keys are one add, and, for each of up to four
+workers, a block of cell keys, four blocks of polar scratch, a pool of half
+a block of rejects (keys, positions and values) and two pending blocks, 8.5
+blocks of 8-byte words (4.25 MiB), whose pending pages only a normal draw
+touches.  So it holds at most 17.5 MiB for any CPU count.  One draw uses
+the workspace at a time; a concurrent draw makes its own, sized to its
+blocks, and drops it, and a draw on more than four CPUs does so for the
+workers past the fourth.
 A normal draw's first polar attempt runs over a whole block, written to a
 pending block; each worker moves the cells it rejects to its pool, and the
 retry rounds run over that pool when it is full, when no pending block is
@@ -215,14 +216,14 @@ class _WorkerBuffers:
         self.polar = _polar_scratch(block)
         # the pool of polar rejects: keys, positions and values
         self.pool = (np.empty(cells, np.uint64), np.empty(cells, np.intp), np.empty(cells))
-        # `_PENDING_BLOCKS` blocks of a normal draw, made by the first one
-        self.pending: np.ndarray | None = None
+        # `_PENDING_BLOCKS` blocks of a normal draw; uniform and proportion
+        # draws never touch their pages
+        self.pending = np.empty(_PENDING_BLOCKS * block)
 
 
 class _Workspace:
     """The buffers of up to `_KEPT_WORKERS` workers that have drawn with it,
-    for blocks of up to `block` cells, and a `_key_table` as long as the
-    longest block drawn with it.
+    for blocks of up to `block` cells, and the `_key_table` of such a block.
 
     It is made, and `buffers` makes any other buffers a draw needs, in the
     calling thread, so every buffer comes from that thread's malloc arena.
@@ -230,27 +231,16 @@ class _Workspace:
 
     def __init__(self, block: int):
         self.block = block
-        self.table = _key_table(0)
+        self.table = _key_table(block)
         self.workers: list[_WorkerBuffers] = []
 
-    def buffers(self, workers: int, pending: bool) -> list[_WorkerBuffers]:
-        """The buffers of workers workers, with pending blocks if pending;
-        those of any worker past `_KEPT_WORKERS` are made for this draw and
-        dropped with it."""
+    def buffers(self, workers: int) -> list[_WorkerBuffers]:
+        """The buffers of workers workers; those of any worker past
+        `_KEPT_WORKERS` are made for this draw and dropped with it."""
         while len(self.workers) < min(workers, _KEPT_WORKERS):
             self.workers.append(_WorkerBuffers(self.block))
         made = self.workers[:workers]
-        made += [_WorkerBuffers(self.block) for _ in range(workers - len(made))]
-        for buffers in made:
-            if pending and buffers.pending is None:
-                buffers.pending = np.empty(_PENDING_BLOCKS * self.block)
-        return made
-
-    def key_table(self, size: int) -> np.ndarray:
-        """The key table, remade here to size entries if it is shorter."""
-        if self.table.size < size:
-            self.table = _key_table(size)
-        return self.table
+        return made + [_WorkerBuffers(self.block) for _ in range(workers - len(made))]
 
 
 # the workspace kept between draws, whether the process has drawn before, and
@@ -287,39 +277,41 @@ def _workspace(block: int) -> Iterator[_Workspace]:
         _kept_lock.release()
 
 
-def _spread(work: Callable[[range, _WorkerBuffers], None], starts: range,
-            workspace: _Workspace, pending: bool = False) -> None:
-    """Run work(share, buffers) over every block start, one worker per CPU.
+def _spread(work: Callable[[range, _WorkerBuffers, np.ndarray], None], starts: range,
+            block: int) -> None:
+    """Run work(share, buffers, table) over every block start, one worker per
+    CPU, in the `_workspace` of a draw whose blocks hold up to `block` cells.
 
     There are min(CPUs, blocks) workers; worker i takes starts[i::workers]
-    and the workspace's buffers of worker i, with pending blocks if pending,
-    any missing ones made here before a thread starts.  Worker 0 runs in the
-    calling thread, so a one-block draw starts no thread.  Every thread is
-    joined before return, and the first exception any worker raised is then
-    raised here.  work must write only its own buffers and the output slices
-    of its own blocks, and call no public function of this module: the
-    tracer's wrappers around those are not thread-safe.
+    and the workspace's buffers of worker i, any missing ones made here before
+    a thread starts, and every worker reads the workspace's key table.  Worker
+    0 runs in the calling thread, so a one-block draw starts no thread.  Every
+    thread is joined before the workspace is left, and the first exception any
+    worker raised is then raised here.  work must write only its own buffers
+    and the output slices of its own blocks, and call no public function of
+    this module: the tracer's wrappers around those are not thread-safe.
     """
     workers = max(1, min(_cpus(), len(starts)))
-    buffers = workspace.buffers(workers, pending)
     errors: list[BaseException] = []
+    with _workspace(block) as workspace:
+        buffers, table = workspace.buffers(workers), workspace.table
 
-    def run(i: int) -> None:
+        def run(i: int) -> None:
+            try:
+                work(starts[i::workers], buffers[i], table)
+            except BaseException as exc:  # raised in the calling thread below
+                errors.append(exc)
+
+        threads: list[threading.Thread] = []
         try:
-            work(starts[i::workers], buffers[i])
-        except BaseException as exc:  # raised in the calling thread below
-            errors.append(exc)
-
-    threads: list[threading.Thread] = []
-    try:
-        for i in range(1, workers):
-            thread = threading.Thread(target=run, args=(i,))
-            thread.start()
-            threads.append(thread)
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
+            for i in range(1, workers):
+                thread = threading.Thread(target=run, args=(i,))
+                thread.start()
+                threads.append(thread)
+            run(0)
+        finally:
+            for thread in threads:
+                thread.join()
     if errors:
         raise errors[0]
 
@@ -329,18 +321,14 @@ def uniform_cells(seed: int, domain: int, start: int, count: int) -> np.ndarray:
     out = np.empty(count)
     domain_key = _domain_key(seed, domain)
 
-    size = min(count, _BLOCK_CELLS)
-    with _workspace(size) as workspace:
-        table = workspace.key_table(size)
+    def work(share: range, buffers: _WorkerBuffers, table: np.ndarray) -> None:
+        tmp = buffers.polar[1]
+        for lo in share:
+            block = out[lo:lo + _BLOCK_CELLS]
+            keys = _cell_keys(domain_key, start + lo, table[:block.size], buffers.keys, tmp)
+            _to_unit(_raw(keys, 0, keys, tmp), block)
 
-        def work(share: range, buffers: _WorkerBuffers) -> None:
-            tmp = buffers.polar[1]
-            for lo in share:
-                block = out[lo:lo + _BLOCK_CELLS]
-                keys = _cell_keys(domain_key, start + lo, table[:block.size], buffers.keys, tmp)
-                _to_unit(_raw(keys, 0, keys, tmp), block)
-
-        _spread(work, range(0, count, _BLOCK_CELLS), workspace)
+    _spread(work, range(0, count, _BLOCK_CELLS), min(count, _BLOCK_CELLS))
     return out
 
 
@@ -367,49 +355,45 @@ def normal_cells(seed: int, domain: int, start: int, count: int,
     domain_key = _domain_key(seed, domain)
     cells = reduce.cells
 
-    size = min(count, cells)
-    with _workspace(size) as workspace:
-        table = workspace.key_table(size)
-        slots = range(0, _PENDING_BLOCKS * cells, cells)
+    slots = range(0, _PENDING_BLOCKS * cells, cells)
 
-        def work(share: range, buffers: _WorkerBuffers) -> None:
-            polar, pool, pending = buffers.polar, buffers.pool, buffers.pending
-            pool_keys, pool_at = pool[0], pool[1]
-            # (lo, offset in pending, size) of the blocks whose pooled cells
-            # wait for the next retry rounds
-            held: list[tuple[int, int, int]] = []
+    def work(share: range, buffers: _WorkerBuffers, table: np.ndarray) -> None:
+        polar, pool, pending = buffers.polar, buffers.pool, buffers.pending
+        pool_keys, pool_at = pool[0], pool[1]
+        # (lo, offset in pending, size) of the blocks whose pooled cells
+        # wait for the next retry rounds
+        held: list[tuple[int, int, int]] = []
+        pooled = 0
+
+        def drain() -> None:
+            nonlocal pooled
+            _polar_retries(pending, pool, pooled, polar)
             pooled = 0
+            for lo, at, size in held:
+                reduce(lo, pending[at:at + size], polar)
+            held.clear()
 
-            def drain() -> None:
-                nonlocal pooled
-                _polar_retries(pending, pool, pooled, polar)
-                pooled = 0
-                for lo, at, size in held:
-                    reduce(lo, pending[at:at + size], polar)
-                held.clear()
-
-            for lo in share:
-                if len(held) == _PENDING_BLOCKS:
+        for lo in share:
+            if len(held) == _PENDING_BLOCKS:
+                drain()
+            at = next(a for a in slots if all(a != h[1] for h in held))
+            block = pending[at:at + min(cells, count - lo)]
+            keys = _cell_keys(domain_key, start + lo, table[:block.size], buffers.keys, polar[1])
+            rejected = _polar_attempt(block, keys, 0, polar)
+            while rejected.size:
+                moved = rejected[:pool_keys.size - pooled]
+                rejected = rejected[moved.size:]
+                # every index is in range; "clip" writes straight to out
+                np.take(keys, moved, out=pool_keys[pooled:pooled + moved.size], mode="clip")
+                np.add(moved, at, out=pool_at[pooled:pooled + moved.size])
+                pooled += moved.size
+                if pooled == pool_keys.size:
+                    # finishes the held blocks; this one is held below
                     drain()
-                at = next(a for a in slots if all(a != h[1] for h in held))
-                block = pending[at:at + min(cells, count - lo)]
-                keys = _cell_keys(domain_key, start + lo, table[:block.size], buffers.keys,
-                                  polar[1])
-                rejected = _polar_attempt(block, keys, 0, polar)
-                while rejected.size:
-                    moved = rejected[:pool_keys.size - pooled]
-                    rejected = rejected[moved.size:]
-                    # every index is in range; "clip" writes straight to out
-                    np.take(keys, moved, out=pool_keys[pooled:pooled + moved.size], mode="clip")
-                    np.add(moved, at, out=pool_at[pooled:pooled + moved.size])
-                    pooled += moved.size
-                    if pooled == pool_keys.size:
-                        # finishes the held blocks; this one is held below
-                        drain()
-                held.append((lo, at, block.size))
-            drain()
+            held.append((lo, at, block.size))
+        drain()
 
-        _spread(work, range(0, count, cells), workspace, pending=True)
+    _spread(work, range(0, count, cells), min(count, cells))
     return out
 
 
@@ -512,26 +496,22 @@ def _trial_successes(seed: int, replicates: int, n: int, p: float) -> np.ndarray
     ones = np.ones(width, np.float32)
     successes = np.zeros(replicates, np.int64)
 
-    size = min(rows, replicates) * width
-    with _workspace(size) as workspace:
-        table = workspace.key_table(size)
+    def work(share: range, buffers: _WorkerBuffers, table: np.ndarray) -> None:
+        tmp = buffers.polar[1]
+        # the hits go to the polar attempt's float scratch, read as float32
+        below = buffers.polar[2].view(np.float32)
+        for lo in share:
+            m = min(rows, replicates - lo)
+            for col in range(0, n, width):
+                w = min(width, n - col)
+                keys = _cell_keys(domain_key, lo * n + col, table[:m * w], buffers.keys, tmp)
+                hits = np.less(_raw(keys, 0, keys, tmp), threshold, out=below[:m * w])
+                # sums of at most a block of zeros and ones are exact in
+                # float32, and so added to the counts
+                counts = successes[lo:lo + m]
+                np.add(counts, hits.reshape(m, w) @ ones[:w], out=counts, casting="unsafe")
 
-        def work(share: range, buffers: _WorkerBuffers) -> None:
-            tmp = buffers.polar[1]
-            # the hits go to the polar attempt's float scratch, read as float32
-            below = buffers.polar[2].view(np.float32)
-            for lo in share:
-                m = min(rows, replicates - lo)
-                for col in range(0, n, width):
-                    w = min(width, n - col)
-                    keys = _cell_keys(domain_key, lo * n + col, table[:m * w], buffers.keys, tmp)
-                    hits = np.less(_raw(keys, 0, keys, tmp), threshold, out=below[:m * w])
-                    # sums of at most a block of zeros and ones are exact in
-                    # float32, and so added to the counts
-                    counts = successes[lo:lo + m]
-                    np.add(counts, hits.reshape(m, w) @ ones[:w], out=counts, casting="unsafe")
-
-        _spread(work, range(0, replicates, rows), workspace)
+    _spread(work, range(0, replicates, rows), min(rows, replicates) * width)
     return successes
 
 

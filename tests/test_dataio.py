@@ -432,20 +432,22 @@ def small_field_limit():
 
 @st.composite
 def block_cases(draw):
-    """A CSV text without quotes, and ingest options.
+    """A CSV text, and ingest options.
 
     A label column and one to three numeric columns; lines end in \\n or
-    \\r\\n; blank lines fall anywhere, the first line too; one row may be
-    ragged, longer than the field size limit in its line or in one field, or
-    hold a non-numeric or non-positive cell, anywhere in the file, a
-    header-only file included.
+    \\r\\n; blank lines fall anywhere, the first line too; in half of the
+    texts the labels may be quoted, hold the delimiter or hold a line break;
+    one row may be ragged, longer than the field size limit in its line or in
+    one field, or hold a non-numeric or non-positive cell, anywhere in the
+    file, a header-only file included; a requested column may be missing.
     """
     width = draw(st.integers(1, 3))
     names = ["label", *NAMES[:width]]
     header = draw(st.booleans())
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     cell = st.sampled_from(["1", "2.5", "0.125", " 7 ", "3e2", "12.75"])
-    rows = [[f"r{i}", *(draw(cell) for _ in range(width))]
+    forms = ["r{}"] + (['"r{}"', '"r,{}"', f'"r{eol}{{}}"'] if draw(st.booleans()) else [])
+    rows = [[draw(st.sampled_from(forms)).format(i), *(draw(cell) for _ in range(width))]
             for i in range(draw(st.integers(0, 12)))]
     odd = draw(st.sampled_from([None, "short", "wide", "long line", "long field",
                                 "non-numeric", "non-positive"]))
@@ -468,7 +470,8 @@ def block_cases(draw):
         lines += [""] * draw(st.integers(0, 1)) + [",".join(row)]
     col_names = names if header else [f"col{i}" for i in range(width + 1)]
     numeric = col_names[1:]
-    columns = draw(st.lists(st.sampled_from(numeric), max_size=width, unique=True))
+    columns = draw(st.lists(st.sampled_from([*numeric, "absent"]), max_size=width,
+                            unique=True))
     logs = draw(st.lists(st.sampled_from(columns or numeric), max_size=1))
     return eol.join(lines) + eol * draw(st.integers(0, 2)), dict(
         header=header, columns=tuple(columns), log_columns=tuple(logs),
@@ -480,16 +483,29 @@ def block_cases(draw):
 @given(case=block_cases())
 def test_block_size_changes_no_outcome(tmp_path, monkeypatch, small_field_limit, case):
     # blocks of one character hold one line end at most, so every line is a
-    # block of its own and every check runs past the first block
+    # block of its own and every check runs past the first block; blocks of
+    # one row do the same on the csv route
     text, kwargs = case
     path = tmp_path / "case.csv"
     path.write_bytes(text.encode("utf-8"))
     whole = _outcome(ingest_csv, path, kwargs)
-    default = dataio._BLOCK_CHARS
-    for size in (1, 7, 64):
+    defaults = dataio._BLOCK_CHARS, dataio._CSV_ROWS
+    for size, rows in ((1, 1), (7, 2), (64, 7)):
         monkeypatch.setattr(dataio, "_BLOCK_CHARS", size)
+        monkeypatch.setattr(dataio, "_CSV_ROWS", rows)
         assert _outcome(ingest_csv, path, kwargs) == whole
-    monkeypatch.setattr(dataio, "_BLOCK_CHARS", default)
+    monkeypatch.setattr(dataio, "_BLOCK_CHARS", defaults[0])
+    monkeypatch.setattr(dataio, "_CSV_ROWS", defaults[1])
+
+
+def test_a_csv_error_in_a_later_block_comes_before_a_column_error(tmp_path, monkeypatch,
+                                                                  small_field_limit):
+    # the csv route reads one row a block: the missing column is known from
+    # the first row, and the over-long field is read two blocks later
+    monkeypatch.setattr(dataio, "_CSV_ROWS", 1)
+    path = write(tmp_path, 'label,y\n"a",1\nb,' + "1" * (FIELD_LIMIT + 1) + "\n")
+    with pytest.raises(DataError, match="cannot parse .*field larger than field limit"):
+        ingest_csv(path, label_column="label", columns=("absent",))
 
 
 @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
@@ -516,14 +532,17 @@ def test_blocks_report_rows_past_the_first_block(tmp_path, monkeypatch, eol):
     assert ds.n_rows == 98 and ds.dropped_rows == 2
 
 
-@pytest.mark.parametrize("eol", ["\n", "\r\n"])
-def test_ingest_peaks_below_five_times_the_file(tmp_path, eol):
-    # the whole text's lines and cells took about 9 times the file; one
-    # block of them at a time, the text and the parsed columns take about 4
+@pytest.mark.parametrize("eol, quote", [("\n", ""), ("\r\n", ""), ("\n", '"')],
+                         ids=["\n", "\r\n", "quoted"])
+def test_ingest_peaks_below_five_times_the_file(tmp_path, eol, quote):
+    # the whole text's lines and cells took about 9 times the file, and its
+    # csv rows about 13; one block of them at a time, the text and the parsed
+    # columns take about 4.  One quoted label sends the file to csv.reader
     rng = random.Random(7)
     lines = ["label,y,x1,x2,x3"]
     for i in range(20_000):
         lines.append(f"obs{i:05d}," + ",".join(repr(rng.gauss(0.0, 1.0)) for _ in range(4)))
+    lines[1] = f"{quote}obs00000{quote}" + lines[1][len("obs00000"):]
     path = tmp_path / "tall.csv"
     path.write_bytes((eol.join(lines) + eol).encode("utf-8"))
     size = path.stat().st_size

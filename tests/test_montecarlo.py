@@ -398,14 +398,16 @@ class TestWorkers:
         # the buffers that test_memory_is_bounded_per_worker no longer sees in
         # its measured draw: keys, polar scratch, pool and pending blocks of
         # at most _KEPT_WORKERS workers, whatever the CPU count, and one key
-        # table; uniform and proportion draws make no pending blocks
+        # table, all made with the workspace and never remade
         monkeypatch.setattr(montecarlo, "_cpus", lambda: workers)
         uniform_cells(3, 1, 0, blocks * _BLOCK_CELLS)
+        workspace = montecarlo._kept
+        table, pending = workspace.table, [buffers.pending for buffers in workspace.workers]
         simulate_size_power(SimConfig(replicates=blocks * _BLOCK_CELLS // 16, seed=3, n=16,
                                       scenario=Scenario.PROPORTION))
-        workspace = montecarlo._kept
-        assert all(buffers.pending is None for buffers in workspace.workers)
         normal_cells(3, 1, 0, blocks * _BLOCK_CELLS)
+        assert workspace.table is table and all(
+            buffers.pending is made for buffers, made in zip(workspace.workers, pending))
         simulate_size_power(SimConfig(replicates=blocks * _BLOCK_CELLS // 16, seed=3, n=16,
                                       scenario=Scenario.NESTED_F, p1=1, p2=2))
         assert montecarlo._kept is workspace
